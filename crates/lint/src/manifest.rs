@@ -2,8 +2,9 @@
 //!
 //! Since the call-graph rework, the manifest no longer enumerates every
 //! hot function — it declares the **entry points** (the per-step phase
-//! implementations, the shard record/replay/exchange paths, the
-//! per-crossing network protocol, and the deterministic-accumulation API)
+//! implementations, the shard exchange and the kernel rows it runs on a
+//! shard's behalf, the per-crossing network protocol, and the
+//! deterministic-accumulation API)
 //! and the analyzer derives the hot set transitively ([`crate::reach`]).
 //! Adding a helper to a hot function subjects it to the hot-set rules
 //! automatically; renaming or deleting a function named here is a hard
@@ -21,8 +22,9 @@
 pub enum EntryKind {
     /// Driver-side per-step phase work (the `Phase` taxonomy).
     Step,
-    /// Per-shard evaluation work: runs logically inside one shard and may
-    /// only write that shard's own state (records, per-shard telemetry).
+    /// Per-shard evaluation work: runs logically on one shard's behalf,
+    /// reading its mirror, and may only write state the kernel pass owns
+    /// (its force buffer, per-row counts, per-shard telemetry).
     ShardContext,
     /// Per-crossing network protocol work in the machine model.
     Net,
@@ -51,7 +53,7 @@ pub const HOT_MODULES: &[&str] = &[
 /// set. `ShardContext` roots additionally seed the shard-isolation set.
 ///
 /// The roots are the ten `Phase` implementations (NeighborRebuild through
-/// Exchange), the shard-context record path, the per-crossing network
+/// Exchange), the shard-context kernel rows, the per-crossing network
 /// fault/retry protocol, and the co-sim's deterministic accumulation
 /// kernels (the fixed-point API is hot by contract even where the current
 /// in-tree callers are few — external node kernels call it).
@@ -93,10 +95,10 @@ pub const ENTRY_POINTS: &[(&str, &str, EntryKind)] = &[
     // Phase::Exchange + the shard driver phases.
     ("exchange.rs", "exchange", EntryKind::Step),
     ("shard.rs", "sync", EntryKind::Step),
-    ("shard.rs", "replay", EntryKind::Step),
-    // Shard-context evaluation: runs per shard, may only write shard-local
-    // state. Seeds the shard-isolation set.
-    ("shard.rs", "record", EntryKind::ShardContext),
+    // Shard-context evaluation: the kernel rows, which on a decomposed
+    // engine read their owning shard's mirror. Seeds the shard-isolation
+    // set.
+    ("stream.rs", "stream_rows", EntryKind::ShardContext),
     // Co-sim node kernels + the fixed-point accumulation API they use.
     ("cosim.rs", "node_pair_forces", EntryKind::Step),
     ("cosim.rs", "verify_pair_forces_with", EntryKind::Step),
@@ -137,7 +139,7 @@ pub const ALLOC_EXEMPT: &[(&str, &str)] = &[
     ("neighbor.rs", "build_with"),
     ("neighbor.rs", "rebuild"),
     // Shard exchange planning builds the per-shard row plan once per
-    // refresh epoch (reached from `sync`, not from the per-step replay).
+    // fresh stream build (reached from `sync`, not per step).
     ("shard.rs", "plan"),
     // Constructors: sized once at system setup, then reused.
     ("fixedpoint.rs", "new"),
@@ -182,15 +184,13 @@ pub const ALLOC_EXEMPT: &[(&str, &str)] = &[
     ("torus.rs", "route_with_order"),
 ];
 
-/// Functions that only the driver may execute: the canonical-order replay
-/// accumulation and the halo exchange, which write driver-global state
-/// (the single force image, driver telemetry). Shard-context code
+/// Functions that only the driver may execute: the halo exchange and the
+/// k-space solve, which write driver-global state (every shard's mirror,
+/// the single density grid, driver telemetry). Shard-context code
 /// ([`EntryKind::ShardContext`] reachability) must never reach these — the
-/// record/replay split (DESIGN.md §16) exists precisely so all cross-shard
-/// writes happen in driver order.
+/// per-row-mirror design (DESIGN.md §16) keeps shard-context code to pure
+/// reads of one shard's mirror plus writes the kernel pass owns.
 pub const DRIVER_ONLY: &[(&str, &str)] = &[
-    ("shard.rs", "replay"),
-    ("shard.rs", "replay_rows"),
     ("exchange.rs", "exchange"),
     ("gse.rs", "solve_potential_into"),
 ];

@@ -204,22 +204,24 @@ Escape hatch: // anton2-lint: allow(panic-freedom) -- <why unreachable>"
                 "\
 shard-isolation — shard-context code writes only shard-local state.
 
-Why: the record/replay split (DESIGN.md §16) keeps shard execution bitwise
-identical to the single image by isolating every cross-shard write into
-the driver's canonical-order replay. A shard-context function that writes
-driver-global telemetry or grid state reintroduces order dependence.
+Why: the decomposed engine is the single-image kernel with each row
+reading its owning shard's mirror (DESIGN.md §16), which keeps it bitwise
+identical to the single image at any shard count. That holds only while
+shard-context code reads one shard's mirror and writes nothing but what
+the kernel pass owns. A shard-context function that writes driver-global
+telemetry or grid state reintroduces order dependence.
 
 Scope: functions reachable from ShardContext entry points. Two checks:
-(1) reaching a DRIVER_ONLY function (replay, replay_rows, exchange,
-solve_potential_into) is a violation, reported with the call path;
+(1) reaching a DRIVER_ONLY function (exchange, solve_potential_into) is a
+violation, reported with the call path;
 (2) mutating telemetry through a bare `tel` binding (the driver's) instead
 of the per-shard sink (`shard.tel.count_*`) is a violation.
 
 Example violation:
-    fn record_shard_rows(..., tel: &mut Telemetry) { tel.count_pairs(n, c); }
+    fn stream_rows(..., tel: &mut Telemetry) { tel.count_pairs(n, c); }
 
-Fix: write to the shard's own `tel` field; the driver merges per-shard
-telemetry after replay.
+Fix: return the counts (or write per-row counts the pass owns) and let
+the driver credit them, globally and to each shard's own `tel`.
 
 Escape hatch: // anton2-lint: allow(shard-isolation) -- <why driver-safe>"
             }

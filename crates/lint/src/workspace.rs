@@ -300,8 +300,8 @@ fn shard_isolation(
                     line: sym.line,
                     message: format!(
                         "driver-only fn `{name}` is reachable from a shard-context entry \
-                         (call path: {path}); cross-shard writes must stay in the driver's \
-                         canonical-order replay"
+                         (call path: {path}); driver-global writes must stay in the \
+                         driver"
                     ),
                     excerpt: excerpt(table, fi, sym.line),
                 });
@@ -333,8 +333,8 @@ fn shard_isolation(
                         line: toks[i].line,
                         message: format!(
                             "shard-context fn `{}` writes driver-global telemetry \
-                             (`tel.{m}`); route through the per-shard sink (`shard.tel`) \
-                             and let the driver merge after replay",
+                             (`tel.{m}`); return the counts and let the driver credit \
+                             them to the global and per-shard sinks",
                             sym.name
                         ),
                         excerpt: excerpt(table, fi, toks[i].line),

@@ -402,8 +402,11 @@ fn workspace_root() -> std::path::PathBuf {
 }
 
 /// The hand-written per-function HOT_PATH manifest this analyzer replaced,
-/// kept verbatim as a witness: every function the old list named must be
-/// *derived* as hot by the call-graph pass, or coverage regressed.
+/// kept as a witness: every function the old list named must be *derived*
+/// as hot by the call-graph pass, or coverage regressed. Entries whose
+/// code was later deleted from the workspace are dropped (the shard
+/// record/replay pipeline: `record`, `record_shard_rows`, `replay`,
+/// `replay_rows`, superseded by the per-row-mirror kernel).
 const LEGACY_HOT_PATH: &[(&str, &str)] = &[
     ("pbc.rs", "min_image"),
     ("pbc.rs", "fold"),
@@ -466,10 +469,6 @@ const LEGACY_HOT_PATH: &[(&str, &str)] = &[
     ("network.rs", "claim"),
     ("network.rs", "cross_link"),
     ("shard.rs", "sync"),
-    ("shard.rs", "record"),
-    ("shard.rs", "record_shard_rows"),
-    ("shard.rs", "replay"),
-    ("shard.rs", "replay_rows"),
     ("exchange.rs", "exchange"),
 ];
 

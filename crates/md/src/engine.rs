@@ -14,12 +14,12 @@ use crate::forcefield::PairTable;
 use crate::gse::{Gse, GseParams, GseWorkspace};
 use crate::integrate::{langevin_o_step, RespaSchedule};
 use crate::observables::EnergyLedger;
-use crate::pairkernel::{excluded_corrections, scaled14_corrections, NonbondedEnergy};
+use crate::pairkernel::{excluded_corrections, scaled14_corrections};
 use crate::pbc::PbcBox;
 use crate::pressure::{bonded_virial, pressure_atm, BerendsenBarostat};
 use crate::settle::{settle_positions, settle_velocities, SettleParams};
 use crate::shard::{ShardGrid, ShardSet, ShardSummary};
-use crate::stream::{nonbonded_forces_streamed_profiled, NonbondedWorkspace, StreamBuild};
+use crate::stream::{streamed_forces, NonbondedWorkspace, StreamBuild};
 use crate::system::System;
 use crate::telemetry::{
     Clock, Counters, MeasuredBreakdownUs, Phase, PhaseBreakdownUs, StepProfile, Telemetry,
@@ -530,13 +530,13 @@ impl RunSummary {
     }
 }
 
-/// Reusable per-step scratch owned by the engine: k-space grids and FFT
-/// scratch, the per-chunk bonded force buffers, and the streaming nonbonded
-/// workspace (cell-sorted atom stream, baked neighbor list, chunk force
-/// accumulators). Holding these across steps makes the whole force pipeline
-/// allocation-free in steady state.
+/// Reusable per-step scratch owned by the engine: the per-chunk bonded
+/// force buffers and the streaming nonbonded workspace (cell-sorted atom
+/// stream, baked neighbor list, chunk force accumulators). Together with
+/// the k-space scratch held in the engine's k-space state, holding these
+/// across steps makes the whole force pipeline allocation-free in steady
+/// state.
 pub struct StepWorkspace {
-    gse: Option<GseWorkspace>,
     bonded: Vec<Vec<Vec3>>,
     nonbonded: NonbondedWorkspace,
     /// Telemetry sink: phase timers and work counters live with the rest of
@@ -545,12 +545,35 @@ pub struct StepWorkspace {
 }
 
 impl StepWorkspace {
-    fn for_engine(gse: Option<&Gse>, tel: Telemetry) -> Self {
+    fn for_engine(tel: Telemetry) -> Self {
         StepWorkspace {
-            gse: gse.map(GseWorkspace::for_gse),
             bonded: (0..BONDED_CHUNKS).map(|_| Vec::new()).collect(),
             nonbonded: NonbondedWorkspace::new(),
             tel,
+        }
+    }
+}
+
+/// The engine's k-space state: the planned solver (with its reusable
+/// scratch, for GSE), or nothing when k-space is off. Planned from the box
+/// by [`KSpace::plan`], so it is re-planned whenever the box changes.
+enum KSpace {
+    Gse(Box<(Gse, GseWorkspace)>),
+    Ewald(EwaldKSpace),
+    None,
+}
+
+impl KSpace {
+    fn plan(method: KspaceMethod, system: &System) -> Self {
+        let (alpha, pbc) = (system.nb.ewald_alpha, &system.pbc);
+        match method {
+            KspaceMethod::Gse => {
+                let gse = Gse::new(alpha, *pbc, GseParams::for_box(alpha, pbc));
+                let ws = GseWorkspace::for_gse(&gse);
+                KSpace::Gse(Box::new((gse, ws)))
+            }
+            KspaceMethod::ClassicEwald => KSpace::Ewald(EwaldKSpace::for_box(alpha, pbc, 1e-10)),
+            KspaceMethod::None => KSpace::None,
         }
     }
 }
@@ -575,8 +598,7 @@ pub struct Engine {
     /// Baked per-type-pair LJ parameters + cutoff shifts for the streaming
     /// kernel (rebuilt only if the cutoff changes, i.e. never mid-run).
     pair_table: PairTable,
-    gse: Option<Gse>,
-    ewald: Option<EwaldKSpace>,
+    kspace: KSpace,
     constraints: ConstraintSet,
     settle: SettleParams,
     f_short: Vec<Vec3>,
@@ -615,22 +637,7 @@ impl Engine {
             settle.d_oh,
             settle.d_hh,
         );
-        let gse = match cfg.kspace {
-            KspaceMethod::Gse => Some(Gse::new(
-                system.nb.ewald_alpha,
-                system.pbc,
-                GseParams::for_box(system.nb.ewald_alpha, &system.pbc),
-            )),
-            _ => None,
-        };
-        let ewald = match cfg.kspace {
-            KspaceMethod::ClassicEwald => Some(EwaldKSpace::for_box(
-                system.nb.ewald_alpha,
-                &system.pbc,
-                1e-10,
-            )),
-            _ => None,
-        };
+        let kspace = KSpace::plan(cfg.kspace, &system);
         let nh = match cfg.thermostat {
             Thermostat::NoseHoover { t_kelvin, tau_fs } => Some(NoseHooverChain::new(
                 t_kelvin,
@@ -642,13 +649,12 @@ impl Engine {
         let n = system.n_atoms();
         let shards =
             (!cfg.decomposition.is_single()).then(|| ShardSet::new(cfg.decomposition, tel.level()));
-        let ws = StepWorkspace::for_engine(gse.as_ref(), tel);
+        let ws = StepWorkspace::for_engine(tel);
         let mut engine = Engine {
             system,
             cfg,
             pair_table,
-            gse,
-            ewald,
+            kspace,
             constraints,
             settle,
             f_short: vec![Vec3::ZERO; n],
@@ -750,20 +756,17 @@ impl Engine {
         // and the box, rebuilding its cell-sorted stream + baked list only
         // when needed. The parallel path uses fixed chunking (not
         // thread-count-dependent), so results are bitwise reproducible.
-        // The decomposed engine runs the same arithmetic through the
-        // exchange → record → replay pipeline instead.
-        let nb = if self.shards.is_some() {
-            self.sharded_nonbonded(parallel)
-        } else {
-            nonbonded_forces_streamed_profiled(
-                &self.system,
-                &self.pair_table,
-                &mut self.ws.nonbonded,
-                &mut self.f_short,
-                parallel,
-                &mut self.ws.tel,
-            )
-        };
+        // The decomposed engine runs the same pass, each row reading its
+        // owning shard's mirror after the halo exchange.
+        let nb = streamed_forces(
+            &self.system,
+            &self.pair_table,
+            &mut self.ws.nonbonded,
+            &mut self.f_short,
+            parallel,
+            &mut self.ws.tel,
+            self.shards.as_mut(),
+        );
         self.ledger.lj = nb.lj;
         self.ledger.coulomb_real = nb.coulomb_real;
         let t0 = self.ws.tel.start();
@@ -799,92 +802,38 @@ impl Engine {
         self.ledger.improper = be.improper;
     }
 
-    /// Sharded replacement for the streaming nonbonded call: identical
-    /// stream/rebuild bookkeeping, then the per-step NT-style exchange,
-    /// every shard recording its owned rows against its local mirror, and
-    /// a canonical-order replay that reproduces the single-image
-    /// accumulation order exactly — forces, energies, and the global
-    /// telemetry counters all come out bitwise identical to
-    /// [`nonbonded_forces_streamed_profiled`].
-    fn sharded_nonbonded(&mut self, parallel: bool) -> NonbondedEnergy {
-        let shards = self.shards.as_mut().expect("sharded path");
-        let tel = &mut self.ws.tel;
-        let nbws = &mut self.ws.nonbonded;
-        let t0 = tel.start();
-        if let Some(reason) = nbws.stream.ensure(&self.system) {
-            tel.count_rebuild(reason);
-            let rows = nbws.stream.pos.len() as u64;
-            match nbws.stream.last_build() {
-                StreamBuild::Patched => tel.count_rows(rows, 0, 0),
-                StreamBuild::Fresh { cell_churn } => tel.count_rows(0, rows, cell_churn),
-            }
-        }
-        tel.stop(Phase::NeighborRebuild, t0);
-
-        shards.sync(&nbws.stream);
-        shards.exchange(&nbws.stream, tel);
-
-        let t0 = tel.start();
-        let candidates = nbws.stream.partners.len() as u64;
-        shards.record(&nbws.stream, &self.pair_table, self.system.nb.ewald_alpha);
-        let (total, cut) =
-            shards.replay(&nbws.stream, &mut nbws.chunks, &mut self.f_short, parallel);
-        tel.count_pairs(candidates - cut, cut);
-        tel.stop(Phase::ShortRange, t0);
-        total
-    }
-
     /// K-space forces into `f_long`, updating the ledger.
     fn compute_long_forces(&mut self) {
         let parallel = self.parallel_enabled();
         self.f_long.iter_mut().for_each(|f| *f = Vec3::ZERO);
         let alpha = self.system.nb.ewald_alpha;
         let charges = &self.system.topology.charges;
-        match self.cfg.kspace {
-            KspaceMethod::Gse => {
-                let gse = self.gse.as_ref().expect("GSE planned at construction");
-                let ws = self
-                    .ws
-                    .gse
-                    .as_mut()
-                    .expect("GSE workspace sized at construction");
-                self.ledger.coulomb_kspace = if let Some(shards) = self.shards.as_mut() {
-                    gse.energy_forces_sharded(
-                        &self.system.positions,
-                        charges,
-                        &mut self.f_long,
-                        ws,
-                        parallel,
-                        &mut self.ws.tel,
-                        shards,
-                    )
-                } else {
-                    gse.energy_forces_profiled(
-                        &self.system.positions,
-                        charges,
-                        &mut self.f_long,
-                        ws,
-                        parallel,
-                        &mut self.ws.tel,
-                    )
-                };
+        self.ledger.coulomb_kspace = match &mut self.kspace {
+            KSpace::Gse(solver) => {
+                let (gse, ws) = &mut **solver;
+                gse.energy_forces_profiled(
+                    &self.system.positions,
+                    charges,
+                    &mut self.f_long,
+                    ws,
+                    parallel,
+                    &mut self.ws.tel,
+                )
             }
-            KspaceMethod::ClassicEwald => {
-                let ks = self.ewald.as_ref().expect("Ewald planned at construction");
+            KSpace::Ewald(ks) => {
                 let t0 = self.ws.tel.start();
-                self.ledger.coulomb_kspace = ks.energy_forces(
+                let e = ks.energy_forces(
                     &self.system.pbc,
                     &self.system.positions,
                     charges,
                     &mut self.f_long,
                 );
                 self.ws.tel.stop(Phase::Fft, t0);
+                e
             }
-            KspaceMethod::None => {
-                self.ledger.coulomb_kspace = 0.0;
-            }
-        }
-        if self.cfg.kspace != KspaceMethod::None {
+            KSpace::None => 0.0,
+        };
+        if !matches!(self.kspace, KSpace::None) {
             let t0 = self.ws.tel.start();
             self.ledger.coulomb_self = self_energy(alpha, charges);
             self.ledger.coulomb_background = background_energy(alpha, &self.system.pbc, charges);
@@ -1085,22 +1034,7 @@ impl Engine {
         // Rebuild box-dependent state. (The nonbonded stream also detects
         // the box change on its own; the invalidation makes it explicit.)
         self.ws.nonbonded.invalidate();
-        if self.gse.is_some() {
-            self.gse = Some(Gse::new(
-                self.system.nb.ewald_alpha,
-                self.system.pbc,
-                GseParams::for_box(self.system.nb.ewald_alpha, &self.system.pbc),
-            ));
-            // Grid dimensions may have changed with the box.
-            self.ws.gse = self.gse.as_ref().map(GseWorkspace::for_gse);
-        }
-        if self.ewald.is_some() {
-            self.ewald = Some(EwaldKSpace::for_box(
-                self.system.nb.ewald_alpha,
-                &self.system.pbc,
-                1e-10,
-            ));
-        }
+        self.kspace = KSpace::plan(self.cfg.kspace, &self.system);
         self.compute_short_forces();
         self.compute_long_forces();
     }
@@ -1409,21 +1343,7 @@ impl Engine {
         self.step = cp.step;
         // Box-dependent plans: the checkpoint's box may differ from the
         // one this engine was built with (barostat runs).
-        if self.gse.is_some() {
-            self.gse = Some(Gse::new(
-                self.system.nb.ewald_alpha,
-                self.system.pbc,
-                GseParams::for_box(self.system.nb.ewald_alpha, &self.system.pbc),
-            ));
-            self.ws.gse = self.gse.as_ref().map(GseWorkspace::for_gse);
-        }
-        if self.ewald.is_some() {
-            self.ewald = Some(EwaldKSpace::for_box(
-                self.system.nb.ewald_alpha,
-                &self.system.pbc,
-                1e-10,
-            ));
-        }
+        self.kspace = KSpace::plan(self.cfg.kspace, &self.system);
         if cp.f_short.len() == self.system.n_atoms() {
             // Full restore: adopt the cached state verbatim.
             self.f_short = cp.f_short.clone();

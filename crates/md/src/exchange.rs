@@ -34,15 +34,15 @@ impl ShardSet {
     pub(crate) fn exchange(&mut self, stream: &NonbondedStream, tel: &mut Telemetry) {
         let t0 = tel.start();
         let mut imported = 0u64;
-        for shard in &mut self.shards {
+        for (shard, mirror) in self.shards.iter_mut().zip(&mut self.mirrors) {
             let ts = shard.tel.start();
             for &s in &shard.owned {
                 let s = s as usize;
-                shard.local_pos[s] = stream.pos[s];
+                mirror.pos[s] = stream.atoms.pos[s];
             }
             for &t in &shard.imports {
                 let t = t as usize;
-                shard.local_pos[t] = stream.pos[t];
+                mirror.pos[t] = stream.atoms.pos[t];
             }
             let im = shard.imports.len() as u64;
             shard

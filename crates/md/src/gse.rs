@@ -483,87 +483,6 @@ impl Gse {
         energy
     }
 
-    /// [`Gse::energy_forces_profiled`] for a decomposed engine: the charge
-    /// spread is split into contiguous x-plane ranges, one per shard (the
-    /// GSE plane ranges of DESIGN.md §16), each walked through the binned
-    /// plane CSR and timed/counted on that shard's telemetry. Planes are
-    /// disjoint and visited in ascending order with each plane's items in
-    /// the serial accumulation order, so the density grid — and therefore
-    /// the energy and forces — is bitwise identical to the single-image
-    /// path at any shard count. The convolution (FFT), grid energy, and
-    /// force interpolation remain driver-global: they are part of the
-    /// consistency barrier, not the decomposition.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn energy_forces_sharded(
-        &self,
-        positions: &[Vec3],
-        charges: &[f64],
-        forces: &mut [Vec3],
-        ws: &mut GseWorkspace,
-        parallel: bool,
-        tel: &mut Telemetry,
-        shards: &mut crate::shard::ShardSet,
-    ) -> f64 {
-        let t0 = tel.start();
-        ws.rho.clear();
-        self.fill_tables(positions, charges, &mut ws.tables);
-        self.bin_planes(&mut ws.tables);
-        let nx = self.params.nx;
-        let nynz = self.params.ny * self.params.nz;
-        let n_shards = shards.len();
-        let w12 = (self.ctx.widths[1] * self.ctx.widths[2]) as u64;
-        for (k, shard) in shards.shards.iter_mut().enumerate() {
-            let ts = shard.tel.start();
-            let plane_lo = k * nx / n_shards;
-            let plane_hi = (k + 1) * nx / n_shards;
-            let tables = &ws.tables;
-            for px in plane_lo..plane_hi {
-                let lo = tables.plane_start[px] as usize;
-                let hi = tables.plane_start[px + 1] as usize;
-                let plane = &mut ws.rho.data[px * nynz..(px + 1) * nynz];
-                for i in lo..hi {
-                    self.spread_plane_item(
-                        tables,
-                        tables.item_slot[i] as usize,
-                        tables.item_dx[i] as usize,
-                        plane,
-                    );
-                }
-            }
-            let items = (tables.plane_start[plane_hi] - tables.plane_start[plane_lo]) as u64;
-            shard.tel.count_gse_spread(items * w12, items);
-            shard.tel.stop(Phase::GseSpread, ts);
-        }
-        // Global counters are functions of the charged-atom count and the
-        // stencil shape only — identical to the single-image path.
-        let c = &self.ctx;
-        let stencil = (c.widths[0] * c.widths[1] * c.widths[2]) as u64;
-        let nq = ws.tables.n as u64;
-        tel.count_gse_spread(nq * stencil, nq * c.widths[0] as u64);
-        tel.stop(Phase::GseSpread, t0);
-
-        let t0 = tel.start();
-        self.solve_potential_into(&ws.rho, &mut ws.phi, &mut ws.fft, parallel);
-        let energy = self.grid_energy(&ws.rho, &ws.phi);
-        let p = &self.params;
-        let lines_per_pass = (p.ny * p.nz + p.nx * p.nz + p.nx * p.ny) as u64;
-        tel.count_fft_lines(2 * lines_per_pass);
-        tel.stop(Phase::Fft, t0);
-
-        let t0 = tel.start();
-        let n_bufs = if parallel { ws.added.len() } else { 1 };
-        self.interpolate_tables_chunked(
-            &ws.phi,
-            &ws.tables,
-            forces,
-            &mut ws.added[..n_bufs],
-            parallel,
-        );
-        tel.count_gse_interp(nq * stencil);
-        tel.stop(Phase::Interpolate, t0);
-        energy
-    }
-
     /// `E = (C/2)·h³·Σ ρ·φ`.
     pub fn grid_energy(&self, rho: &Grid3, phi: &Grid3) -> f64 {
         let h = self.params.spacing(&self.pbc);

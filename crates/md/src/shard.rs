@@ -8,8 +8,8 @@
 //! a `ShardSet` (crate-internal, owned by the engine) gives every shard
 //!
 //! * an **ownership plan** — the sorted stream slots whose cells fall in
-//!   the shard's region; each working-list row is evaluated by exactly the
-//!   shard that owns it;
+//!   the shard's region; each working-list row is evaluated against the
+//!   data of exactly the shard that owns it;
 //! * an **import region** — the deduplicated set of slots appearing as
 //!   partners in the shard's extended rows but owned elsewhere (the
 //!   half-shell traversal of the stream build means this *is* the NT
@@ -19,44 +19,34 @@
 //!   planned import region corrupts the pair (caught by `debug_assert!`
 //!   and by the bitwise-identity tests) instead of silently using data the
 //!   real machine would not have;
-//! * its own [`Telemetry`] sink (per-shard phase times, pair and exchange
-//!   counters).
+//! * its own [`Telemetry`] sink (per-shard exchange time, pair and
+//!   exchange counters).
 //!
-//! **Bitwise identity with the single-image engine** is the load-bearing
-//! contract (the shard-count analogue of DESIGN.md §9's thread-count
-//! independence). Floating-point addition is not associative, so shards
-//! cannot simply sum boundary forces in shard order. Instead evaluation is
-//! split into two stages:
+//! **Shards are a view over the one streamed kernel.** The decomposed
+//! engine runs the single-image kernel (`stream::stream_rows`) — the same
+//! serial pass or the same fixed [`crate::pairkernel::NB_CHUNKS`] chunk
+//! merge, in the same order — except that each row reads its own and its
+//! partners' atom data from the mirror of the shard that owns it. Inside a
+//! shard's region the mirror holds exactly the stream's bits, so every
+//! pair sees the same inputs and every accumulator the same additions in
+//! the same order: **bitwise identity with the single-image engine** at
+//! any shard count holds by construction (the shard-count analogue of
+//! DESIGN.md §9's thread-count independence). Per-shard pair counters come
+//! from per-row in-cutoff counts summed over each shard's owned rows.
 //!
-//! 1. **Record** (`ShardSet::record`): each shard evaluates its owned
-//!    rows against its local mirror and writes one `PairRecord` per
-//!    in-cutoff pair — the pair force and energy terms, which are pure
-//!    per-pair functions of the two positions and therefore identical bits
-//!    no matter which shard computes them — into a global buffer at the
-//!    pair's canonical CSR position.
-//! 2. **Replay** (`ShardSet::replay`): the driver accumulates the
-//!    records in the exact (row, pair) order of the single-image kernel —
-//!    serial row order, or the fixed [`NB_CHUNKS`] chunk merge — so every
-//!    force and energy accumulator sees the same additions in the same
-//!    order as `nonbonded_forces_streamed` and lands on identical bits at
-//!    any shard count.
-//!
-//! Shards are evaluated by a serial loop (the bench host exposes one
-//! logical CPU — see EXPERIMENTS.md F20); parallelism stays where it
-//! already pays, in the chunked replay. When the stream falls back to the
-//! all-pairs path mid-run (a barostat shrinking the box below three cells
-//! per axis), the decomposition degrades to shard 0 owning everything,
-//! which is exactly the single-image engine.
+//! Rows of different shards interleave within that one pass, which runs
+//! chunk-parallel exactly when the single image does; per-shard
+//! short-range time is therefore not attributed (see [`ShardSummary`]).
+//! When the stream falls back to the all-pairs path mid-run (a barostat
+//! shrinking the box below three cells per axis), the decomposition
+//! degrades to shard 0 owning everything, which is exactly the
+//! single-image engine.
 
 use crate::cells::CellGrid;
-use crate::forcefield::PairTable;
-use crate::pairkernel::{pair_interaction_lanes, NonbondedEnergy, LANES, NB_CHUNKS};
-use crate::pbc::HalfBox;
-use crate::stream::NonbondedStream;
+use crate::stream::{NonbondedStream, RowSource, SortedAtoms};
 use crate::system::System;
-use crate::telemetry::{Counters, Phase, PhaseBreakdownUs, StepProfile, Telemetry, TelemetryLevel};
+use crate::telemetry::{Counters, PhaseBreakdownUs, StepProfile, Telemetry, TelemetryLevel};
 use crate::vec3::Vec3;
-use rayon::prelude::*;
 use serde::Serialize;
 
 /// An ℓ×m×n spatial decomposition of the simulation box. `1×1×1` (the
@@ -140,29 +130,13 @@ impl ShardGrid {
     }
 }
 
-/// One recorded in-cutoff pair: the canonical CSR position of the pair
-/// plus the per-pair force and energy terms, all pure functions of the two
-/// atom positions (identical bits regardless of the evaluating shard).
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct PairRecord {
-    /// Index into the working partner list (`stream.partners`) — the
-    /// pair's canonical position, which the replay maps to a scatter slot.
-    idx: u32,
-    /// Force on the row atom from this pair (`partner gets −f`).
-    f: Vec3,
-    e_lj: f64,
-    e_coul: f64,
-    virial: f64,
-    virial_lj: f64,
-}
-
-/// One spatial domain: its ownership plan, import region, NaN-poisoned
-/// local SoA mirror, and telemetry sink.
+/// One spatial domain: its ownership plan, import region, and telemetry
+/// sink. Its local mirror lives beside it in `ShardSet::mirrors`.
 #[derive(Debug)]
 pub(crate) struct Shard {
     pub(crate) id: u32,
     /// Sorted stream slots owned by this shard, ascending. These are the
-    /// working-list rows the shard evaluates.
+    /// working-list rows that read this shard's mirror.
     pub(crate) owned: Vec<u32>,
     /// Sorted stream slots this shard reads but does not own (partners of
     /// its extended rows owned elsewhere), deduplicated, in first-seen
@@ -171,20 +145,20 @@ pub(crate) struct Shard {
     /// How many of this shard's owned positions other shards import each
     /// step (the export side of the exchange traffic).
     pub(crate) exported: u64,
-    /// Full-length local position mirror; NaN outside `owned ∪ imports`.
-    pub(crate) local_pos: Vec<Vec3>,
-    /// Full-length local charge mirror; NaN outside the region.
-    pub(crate) local_charge: Vec<f64>,
-    /// Full-length local LJ-type mirror; `u32::MAX` (an out-of-bounds
-    /// table row) outside the region.
-    pub(crate) local_lj_type: Vec<u32>,
-    /// Per-shard telemetry: Exchange/ShortRange/GseSpread phase times plus
-    /// pair and exchange counters for this shard's slice of the step.
+    /// Per-shard telemetry: Exchange phase time plus pair and exchange
+    /// counters for this shard's slice of the step.
     pub(crate) tel: Telemetry,
 }
 
 /// Per-shard slice of a `RunSummary`: what one domain owned, imported,
 /// exported, and spent its time on over the summarized steps.
+///
+/// Rows of all shards run interleaved in the engine's one short-range
+/// pass, and the k-space spread is not decomposed, so `phases` carries
+/// only this shard's halo-exchange time: per-shard `short_range` and
+/// `gse_spread` times and the per-shard spread counters stay zero. The
+/// exchange counters and `pairs_evaluated`/`pairs_cut` are exact and sum
+/// over shards to the run's global counters.
 #[derive(Clone, Debug, Serialize)]
 pub struct ShardSummary {
     /// Shard id in the ℓ×m×n grid (x-major, z fastest).
@@ -201,27 +175,27 @@ pub struct ShardSummary {
     pub counters: Counters,
 }
 
-/// The decomposition: all shards plus the global record/replay buffers and
-/// the stream-revision bookkeeping that keeps the plans in sync with
-/// rebuilds and patches.
+/// The decomposition: all shards, their local mirrors, the per-row pair
+/// counts of the last kernel pass, and the fresh-build revision the plans
+/// were made for.
 #[derive(Debug)]
 pub(crate) struct ShardSet {
     grid: ShardGrid,
     pub(crate) shards: Vec<Shard>,
-    /// Recorded pairs, aligned with the working-list CSR: row `s`'s records
-    /// sit compacted at `stream.start[s] .. stream.start[s] + row_pairs[s]`.
-    pub(crate) pair_records: Vec<PairRecord>,
-    /// In-cutoff pair count per row (cut candidates = row length − this).
-    pub(crate) row_pairs: Vec<u32>,
-    /// Accumulated row force per row (the `fs` of the streaming kernel).
-    pub(crate) row_fs: Vec<Vec3>,
+    /// Local mirror of the stream's atom data per shard, indexed by shard
+    /// id: full length, NaN / `u32::MAX` (an out-of-bounds LJ table row)
+    /// outside the shard's `owned ∪ imports`; positions are refreshed by
+    /// the exchange.
+    pub(crate) mirrors: Vec<SortedAtoms>,
+    /// In-cutoff pair count per row from the last kernel pass (cut
+    /// candidates = row length − this).
+    row_pairs: Vec<u32>,
     /// Owning shard id per sorted slot.
     pub(crate) shard_of_slot: Vec<u32>,
     /// Generation-stamped dedup scratch for import planning.
     stamp: Vec<u64>,
     stamp_gen: u64,
-    /// Stream revisions the current plans were built against.
-    seen_revision: u64,
+    /// Stream fresh-build revision the current plans were built against.
     seen_fresh: u64,
 }
 
@@ -238,48 +212,34 @@ impl ShardSet {
                     owned: Vec::new(),
                     imports: Vec::new(),
                     exported: 0,
-                    local_pos: Vec::new(),
-                    local_charge: Vec::new(),
-                    local_lj_type: Vec::new(),
                     tel: Telemetry::new(level),
                 })
                 .collect(),
-            pair_records: Vec::new(),
+            mirrors: (0..grid.count()).map(|_| SortedAtoms::default()).collect(),
             row_pairs: Vec::new(),
-            row_fs: Vec::new(),
             shard_of_slot: Vec::new(),
             stamp: Vec::new(),
             stamp_gen: 0,
-            seen_revision: 0,
             seen_fresh: 0,
         }
     }
 
-    /// Number of shards.
-    pub(crate) fn len(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Bring the plans up to date with the stream: a fresh rebuild (new
-    /// permutation / cells) re-plans ownership and import regions; a patch
-    /// (same permutation, re-filtered working list) only re-sizes the
-    /// record buffers, because ownership is a function of the fresh-build
-    /// cell assignment.
+    /// permutation / cells) re-plans ownership and import regions. A patch
+    /// (same permutation, re-filtered working list) changes nothing here,
+    /// because ownership is a function of the fresh-build cell assignment
+    /// and import regions cover the whole extended list.
     pub(crate) fn sync(&mut self, stream: &NonbondedStream) {
         if self.seen_fresh != stream.fresh_revision {
             self.plan(stream);
             self.seen_fresh = stream.fresh_revision;
-            self.seen_revision = stream.revision;
-        } else if self.seen_revision != stream.revision {
-            self.size_record_buffers(stream);
-            self.seen_revision = stream.revision;
         }
     }
 
     /// Rebuild ownership, import regions, and local mirrors from a fresh
     /// stream build. Runs at rebuild cadence, not per step.
     fn plan(&mut self, stream: &NonbondedStream) {
-        let ns = stream.pos.len();
+        let ns = stream.atoms.pos.len();
         self.shard_of_slot.resize(ns, 0);
         let cells_tracked = stream.cell_ids.len() == ns;
         match (stream.cell_dims, cells_tracked) {
@@ -336,20 +296,21 @@ impl ShardSet {
                     }
                 }
             }
-            // Poisoned local mirrors: only the shard's region gets real
+            // Poisoned local mirror: only the shard's region gets real
             // parameters; positions arrive via the per-step exchange.
-            shard.local_pos.clear();
-            shard
-                .local_pos
+            let mirror = &mut self.mirrors[shard.id as usize];
+            mirror.pos.clear();
+            mirror
+                .pos
                 .resize(ns, Vec3::new(f64::NAN, f64::NAN, f64::NAN));
-            shard.local_charge.clear();
-            shard.local_charge.resize(ns, f64::NAN);
-            shard.local_lj_type.clear();
-            shard.local_lj_type.resize(ns, u32::MAX);
+            mirror.charge.clear();
+            mirror.charge.resize(ns, f64::NAN);
+            mirror.lj_type.clear();
+            mirror.lj_type.resize(ns, u32::MAX);
             for &s in shard.owned.iter().chain(&shard.imports) {
                 let s = s as usize;
-                shard.local_charge[s] = stream.charge[s];
-                shard.local_lj_type[s] = stream.lj_type[s];
+                mirror.charge[s] = stream.atoms.charge[s];
+                mirror.lj_type[s] = stream.atoms.lj_type[s];
             }
         }
         // Export accounting: every import of shard j is an export of the
@@ -361,118 +322,32 @@ impl ShardSet {
                 self.shards[owner].exported += 1;
             }
         }
-        self.size_record_buffers(stream);
-    }
-
-    /// Re-size the record buffers to the current working list (its length
-    /// changes when a patch re-filters the extended rows).
-    fn size_record_buffers(&mut self, stream: &NonbondedStream) {
-        let ns = stream.pos.len();
-        self.pair_records
-            .resize(stream.partners.len(), PairRecord::default());
         self.row_pairs.resize(ns, 0);
-        self.row_fs.resize(ns, Vec3::ZERO);
     }
 
-    /// Stage 1: every shard evaluates its owned rows against its local
-    /// mirror, writing per-pair records at canonical CSR positions. Serial
-    /// over shards (disjoint row ranges; see the module docs for why the
-    /// 1-CPU host makes shard-level threading pointless), timed and
-    /// counted per shard.
-    pub(crate) fn record(&mut self, stream: &NonbondedStream, table: &PairTable, alpha: f64) {
-        let records = &mut self.pair_records[..];
-        let row_pairs = &mut self.row_pairs[..];
-        let row_fs = &mut self.row_fs[..];
+    /// The kernel's view of the decomposition: every row reads its owning
+    /// shard's mirror, and its in-cutoff pair count lands in `row_pairs`.
+    pub(crate) fn rows(&mut self) -> (RowSource<'_>, &mut [u32]) {
+        let source = RowSource::Shards {
+            owner: &self.shard_of_slot,
+            mirrors: &self.mirrors,
+        };
+        (source, &mut self.row_pairs)
+    }
+
+    /// Credit every shard with the evaluated and cut pairs of the rows it
+    /// owns, from the per-row counts of the kernel pass that just ran.
+    /// Exact integers, so they sum to the global counters.
+    pub(crate) fn count_pairs(&mut self, stream: &NonbondedStream) {
         for shard in &mut self.shards {
-            let t0 = shard.tel.start();
-            let (evaluated, cut) =
-                record_shard_rows(shard, stream, table, alpha, records, row_pairs, row_fs);
-            shard.tel.count_pairs(evaluated, cut);
-            shard.tel.stop(Phase::ShortRange, t0);
-        }
-    }
-
-    /// Stage 2: accumulate the records in the single-image kernel's exact
-    /// (row, pair) order — full-length serial buffer or the fixed
-    /// [`NB_CHUNKS`] chunk-local merge — scattering forces back to
-    /// original atom order. Returns the energies and the cut-pair count,
-    /// bitwise identical to `nonbonded_forces_streamed` at any shard
-    /// count.
-    pub(crate) fn replay(
-        &self,
-        stream: &NonbondedStream,
-        chunks: &mut [Vec<Vec3>],
-        forces: &mut [Vec3],
-        parallel: bool,
-    ) -> (NonbondedEnergy, u64) {
-        let ns = stream.pos.len();
-        let records = &self.pair_records[..];
-        let row_pairs = &self.row_pairs[..];
-        let row_fs = &self.row_fs[..];
-        if parallel {
-            let bufs = &mut chunks[..NB_CHUNKS];
-            let mut energies = [(NonbondedEnergy::default(), 0u64); NB_CHUNKS];
-            bufs.par_iter_mut()
-                .zip(&mut energies[..])
-                .enumerate()
-                .for_each(|(c, (local, slot))| {
-                    let lo = c * ns / NB_CHUNKS;
-                    let hi = (c + 1) * ns / NB_CHUNKS;
-                    let len = (hi - lo) + (stream.import_start[c + 1] - stream.import_start[c]);
-                    local.resize(len, Vec3::ZERO);
-                    local.iter_mut().for_each(|f| *f = Vec3::ZERO);
-                    *slot = replay_rows(
-                        stream,
-                        records,
-                        row_pairs,
-                        row_fs,
-                        lo,
-                        hi,
-                        &stream.partners_local,
-                        local,
-                    );
-                });
-            // Identical deterministic reduction to the streaming kernel:
-            // fixed chunk order, own rows then imports.
-            let mut total = NonbondedEnergy::default();
-            let mut cut = 0u64;
-            for (c, (local, (e, cc))) in bufs.iter().zip(&energies).enumerate() {
-                let lo = c * ns / NB_CHUNKS;
-                let hi = (c + 1) * ns / NB_CHUNKS;
-                let own = hi - lo;
-                for (i, l) in local[..own].iter().enumerate() {
-                    forces[stream.order[lo + i] as usize] += *l;
-                }
-                let ib = stream.import_start[c];
-                for (k, l) in local[own..].iter().enumerate() {
-                    let t = stream.imports[ib + k] as usize;
-                    forces[stream.order[t] as usize] += *l;
-                }
-                total.lj += e.lj;
-                total.coulomb_real += e.coulomb_real;
-                total.virial += e.virial;
-                total.virial_lj += e.virial_lj;
-                cut += cc;
+            let mut evaluated = 0u64;
+            let mut candidates = 0u64;
+            for &s in &shard.owned {
+                let s = s as usize;
+                evaluated += self.row_pairs[s] as u64;
+                candidates += (stream.start[s + 1] - stream.start[s]) as u64;
             }
-            (total, cut)
-        } else {
-            let local = &mut chunks[0];
-            local.resize(ns, Vec3::ZERO);
-            local.iter_mut().for_each(|f| *f = Vec3::ZERO);
-            let (out, cut) = replay_rows(
-                stream,
-                records,
-                row_pairs,
-                row_fs,
-                0,
-                ns,
-                &stream.partners,
-                local,
-            );
-            for (s, l) in local.iter().enumerate() {
-                forces[stream.order[s] as usize] += *l;
-            }
-            (out, cut)
+            shard.tel.count_pairs(evaluated, candidates - evaluated);
         }
     }
 
@@ -533,159 +408,12 @@ impl ShardSet {
     }
 }
 
-/// Evaluate one shard's owned rows, writing per-pair records. Mirrors the
-/// streaming kernel's lane-batched inner loop exactly (same compression,
-/// same padding, same per-lane arithmetic), but reads positions/charges/
-/// types from the shard's poisoned local mirror — so the records prove the
-/// shard touched only its planned region — and writes records instead of
-/// accumulating. Returns (pairs evaluated, candidates cut).
-fn record_shard_rows(
-    shard: &mut Shard,
-    stream: &NonbondedStream,
-    table: &PairTable,
-    alpha: f64,
-    records: &mut [PairRecord],
-    row_pairs: &mut [u32],
-    row_fs: &mut [Vec3],
-) -> (u64, u64) {
-    let hb = HalfBox::new(&stream.pbc);
-    let cutoff_sq = table.cutoff_sq;
-    let mut evaluated = 0u64;
-    let mut cut = 0u64;
-    let mut dx = [0.0f64; LANES];
-    let mut dy = [0.0f64; LANES];
-    let mut dz = [0.0f64; LANES];
-    let mut r_sq = [0.0f64; LANES];
-    let mut lj_a = [0.0f64; LANES];
-    let mut lj_b = [0.0f64; LANES];
-    let mut lj_shift = [0.0f64; LANES];
-    let mut qq = [0.0f64; LANES];
-    let mut idxs = [0u32; LANES];
-    let mut f_lj = [0.0f64; LANES];
-    let mut f_coul = [0.0f64; LANES];
-    let mut e_lj = [0.0f64; LANES];
-    let mut e_coul = [0.0f64; LANES];
-    for &s in &shard.owned {
-        let s = s as usize;
-        let ps = shard.local_pos[s];
-        let qs = shard.local_charge[s];
-        let row = table.row(shard.local_lj_type[s]);
-        let mut fs = Vec3::ZERO;
-        let r0 = stream.start[s];
-        let r1 = stream.start[s + 1];
-        let mut w = r0;
-        let mut base = r0;
-        while base < r1 {
-            let mut k = 0;
-            while base < r1 && k < LANES {
-                let t = stream.partners[base] as usize;
-                let d = hb.min_image(ps - shard.local_pos[t]);
-                let rr = d.norm_sq();
-                debug_assert!(
-                    !rr.is_nan(),
-                    "shard {} read slot {t} outside its import region",
-                    shard.id
-                );
-                if rr < cutoff_sq {
-                    dx[k] = d.x;
-                    dy[k] = d.y;
-                    dz[k] = d.z;
-                    r_sq[k] = rr;
-                    let e = row[shard.local_lj_type[t] as usize];
-                    lj_a[k] = e.a;
-                    lj_b[k] = e.b;
-                    lj_shift[k] = e.shift;
-                    qq[k] = qs * shard.local_charge[t];
-                    idxs[k] = base as u32;
-                    k += 1;
-                } else {
-                    cut += 1;
-                }
-                base += 1;
-            }
-            if k == 0 {
-                continue;
-            }
-            for l in k..LANES {
-                r_sq[l] = 1.0;
-                lj_a[l] = 0.0;
-                lj_b[l] = 0.0;
-                lj_shift[l] = 0.0;
-                qq[l] = 0.0;
-            }
-            pair_interaction_lanes(
-                &r_sq,
-                &lj_a,
-                &lj_b,
-                &lj_shift,
-                &qq,
-                alpha,
-                &mut f_lj,
-                &mut f_coul,
-                &mut e_lj,
-                &mut e_coul,
-            );
-            for l in 0..k {
-                let f_over_r = f_lj[l] + f_coul[l];
-                let f = Vec3::new(dx[l], dy[l], dz[l]) * f_over_r;
-                fs += f;
-                records[w] = PairRecord {
-                    idx: idxs[l],
-                    f,
-                    e_lj: e_lj[l],
-                    e_coul: e_coul[l],
-                    virial: f_over_r * r_sq[l],
-                    virial_lj: f_lj[l] * r_sq[l],
-                };
-                w += 1;
-            }
-        }
-        row_fs[s] = fs;
-        row_pairs[s] = (w - r0) as u32;
-        evaluated += (w - r0) as u64;
-    }
-    (evaluated, cut)
-}
-
-/// Accumulate recorded pairs for rows `[lo, hi)` into `local`, visiting
-/// rows and pairs in exactly the streaming kernel's order: per pair the
-/// partner slot (via `slots`, as in `stream_rows`) receives `−f`, then the
-/// row's accumulated `fs` lands at `s − lo`. Energy and cut accumulation
-/// orders match the kernel too, so every f64 lands on identical bits.
-#[allow(clippy::too_many_arguments)]
-fn replay_rows(
-    stream: &NonbondedStream,
-    records: &[PairRecord],
-    row_pairs: &[u32],
-    row_fs: &[Vec3],
-    lo: usize,
-    hi: usize,
-    slots: &[u32],
-    local: &mut [Vec3],
-) -> (NonbondedEnergy, u64) {
-    let mut out = NonbondedEnergy::default();
-    let mut cut = 0u64;
-    for s in lo..hi {
-        let r0 = stream.start[s];
-        let k = row_pairs[s] as usize;
-        for rec in &records[r0..r0 + k] {
-            local[slots[rec.idx as usize] as usize] -= rec.f;
-            out.lj += rec.e_lj;
-            out.coulomb_real += rec.e_coul;
-            out.virial += rec.virial;
-            out.virial_lj += rec.virial_lj;
-        }
-        local[s - lo] += row_fs[s];
-        cut += (stream.start[s + 1] - r0 - k) as u64;
-    }
-    (out, cut)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builders::water_box;
-    use crate::stream::{nonbonded_forces_streamed, NonbondedWorkspace};
+    use crate::pairkernel::NonbondedEnergy;
+    use crate::stream::{nonbonded_forces_streamed, streamed_forces, NonbondedWorkspace};
     use crate::system::System;
 
     fn bits(forces: &[Vec3]) -> u64 {
@@ -709,19 +437,21 @@ mod tests {
         system: &System,
         grid: ShardGrid,
         parallel: bool,
-    ) -> (Vec<Vec3>, NonbondedEnergy, u64) {
+    ) -> (Vec<Vec3>, NonbondedEnergy) {
         let table = system.pair_table();
         let mut ws = NonbondedWorkspace::new();
-        // Build the stream exactly as the engine would.
-        ws.stream.ensure(system);
         let mut set = ShardSet::new(grid, TelemetryLevel::Counters);
-        set.sync(ws.stream());
-        set.exchange(ws.stream(), &mut Telemetry::off());
-        set.record(ws.stream(), &table, system.nb.ewald_alpha);
         let mut f = vec![Vec3::ZERO; system.n_atoms()];
-        let stream = &ws.stream;
-        let (e, cut) = set.replay(stream, &mut ws.chunks, &mut f, parallel);
-        (f, e, cut)
+        let e = streamed_forces(
+            system,
+            &table,
+            &mut ws,
+            &mut f,
+            parallel,
+            &mut Telemetry::off(),
+            Some(&mut set),
+        );
+        (f, e)
     }
 
     #[test]
@@ -739,7 +469,7 @@ mod tests {
                 ShardGrid::new(2, 2, 2),
                 ShardGrid::new(3, 3, 3),
             ] {
-                let (f, e, _) = sharded_forces(&s, grid, parallel);
+                let (f, e) = sharded_forces(&s, grid, parallel);
                 assert_eq!(e0.lj.to_bits(), e.lj.to_bits(), "{grid:?}");
                 assert_eq!(
                     e0.coulomb_real.to_bits(),
@@ -782,6 +512,41 @@ mod tests {
         assert!(total_imports > 0, "2x2x2 on a 3-cell grid must import");
     }
 
+    /// The poisoning still has teeth: drop from a shard's import plan one
+    /// slot its rows really read, and evaluation must be caught.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside its shard's import region")]
+    fn read_outside_import_region_is_caught() {
+        let s = small_cell_system(46);
+        let table = s.pair_table();
+        let mut ws = NonbondedWorkspace::new();
+        ws.stream.ensure(&s);
+        let mut set = ShardSet::new(ShardGrid::new(2, 2, 2), TelemetryLevel::Off);
+        set.sync(ws.stream());
+        let stream = ws.stream();
+        let (owner, slot) = (0..stream.atoms.pos.len())
+            .find_map(|r| {
+                let owner = set.shard_of_slot[r];
+                stream.partners[stream.start[r]..stream.start[r + 1]]
+                    .iter()
+                    .find(|&&t| set.shard_of_slot[t as usize] != owner)
+                    .map(|&t| (owner as usize, t))
+            })
+            .expect("2x2x2 rows read imported partners");
+        set.shards[owner].imports.retain(|&t| t != slot);
+        let mut f = vec![Vec3::ZERO; s.n_atoms()];
+        streamed_forces(
+            &s,
+            &table,
+            &mut ws,
+            &mut f,
+            false,
+            &mut Telemetry::off(),
+            Some(&mut set),
+        );
+    }
+
     #[test]
     fn fallback_box_degrades_to_single_shard() {
         // 15.5 A box at range 10: the stream takes the all-pairs fallback,
@@ -791,7 +556,7 @@ mod tests {
         let mut ws = NonbondedWorkspace::new();
         let mut f0 = vec![Vec3::ZERO; s.n_atoms()];
         let e0 = nonbonded_forces_streamed(&s, &table, &mut ws, &mut f0, false);
-        let (f, e, _) = sharded_forces(&s, ShardGrid::new(2, 2, 2), false);
+        let (f, e) = sharded_forces(&s, ShardGrid::new(2, 2, 2), false);
         assert_eq!(e0.lj.to_bits(), e.lj.to_bits());
         assert_eq!(bits(&f0), bits(&f));
     }

@@ -39,13 +39,15 @@
 //! `pairkernel::nonbonded_forces` to ≤1e-12 (the accumulation order
 //! differs, so bitwise equality is not expected). All buffers live in
 //! [`NonbondedWorkspace`], so steady-state evaluation performs no heap
-//! allocation.
+//! allocation. The decomposed engine (`crate::shard`) runs this same
+//! kernel pass, each row reading its owning shard's local mirror.
 
 use crate::cells::CellGrid;
 use crate::forcefield::PairTable;
 use crate::neighbor::RebuildReason;
 use crate::pairkernel::{pair_interaction_lanes, NonbondedEnergy, LANES, NB_CHUNKS};
 use crate::pbc::{HalfBox, PbcBox};
+use crate::shard::ShardSet;
 use crate::system::System;
 use crate::telemetry::{Phase, Telemetry};
 use crate::vec3::Vec3;
@@ -90,12 +92,9 @@ struct CellScratch {
 pub struct NonbondedStream {
     /// Sorted → original index map (`order[s]` is the original atom index).
     pub(crate) order: Vec<u32>,
-    /// Wrapped positions in sorted order, re-gathered every evaluation.
-    pub(crate) pos: Vec<Vec3>,
-    /// Charges in sorted order (static between rebuilds).
-    pub(crate) charge: Vec<f64>,
-    /// LJ type indices in sorted order (static between rebuilds).
-    pub(crate) lj_type: Vec<u32>,
+    /// Atom data in sorted order: wrapped positions, re-gathered every
+    /// evaluation, plus charges and LJ types, static between rebuilds.
+    pub(crate) atoms: SortedAtoms,
     /// Working-list CSR row starts in sorted space, length `n + 1`.
     pub(crate) start: Vec<usize>,
     /// Working-list partners in sorted space; every partner has a higher
@@ -142,12 +141,9 @@ pub struct NonbondedStream {
     slot_of: Vec<u32>,
     stamp_gen: u64,
     scratch: Vec<CellScratch>,
-    /// Bumped on every working-list change (fresh rebuild *or* patch). The
-    /// shard layer watches this to know its per-row ownership/record plans
-    /// are stale.
-    pub(crate) revision: u64,
-    /// Bumped on fresh rebuilds only (new permutation / cell assignment);
-    /// patches keep the permutation, so shard ownership plans survive them.
+    /// Bumped on fresh rebuilds (new permutation / cell assignment); the
+    /// shard layer re-plans when it changes. Patches keep the permutation
+    /// and the extended list, so shard plans survive them.
     pub(crate) fresh_revision: u64,
     /// Cell-grid dimensions of the last fresh build, `None` when the
     /// all-pairs fallback ran (no spatial structure to decompose over).
@@ -158,9 +154,7 @@ impl NonbondedStream {
     fn new() -> Self {
         NonbondedStream {
             order: Vec::new(),
-            pos: Vec::new(),
-            charge: Vec::new(),
-            lj_type: Vec::new(),
+            atoms: SortedAtoms::default(),
             start: Vec::new(),
             partners: Vec::new(),
             ext_start: Vec::new(),
@@ -182,7 +176,6 @@ impl NonbondedStream {
             slot_of: Vec::new(),
             stamp_gen: 0,
             scratch: Vec::new(),
-            revision: 0,
             fresh_revision: 0,
             cell_dims: None,
         }
@@ -293,7 +286,7 @@ impl NonbondedStream {
     /// between refreshes).
     fn gather_positions(&mut self, positions: &[Vec3]) {
         let pbc = self.pbc;
-        for (ps, &o) in self.pos.iter_mut().zip(&self.order) {
+        for (ps, &o) in self.atoms.pos.iter_mut().zip(&self.order) {
             *ps = pbc.wrap(positions[o as usize]);
         }
     }
@@ -309,7 +302,6 @@ impl NonbondedStream {
         self.ref_positions.clear();
         self.ref_positions.extend_from_slice(&system.positions);
         self.last_build = StreamBuild::Patched;
-        self.revision += 1;
     }
 
     /// Full rebuild: new permutation, gathered SoA arrays, extended half
@@ -343,18 +335,18 @@ impl NonbondedStream {
         let ext_sq = self.range_ext * self.range_ext;
 
         // Gather the SoA stream in sorted order.
-        self.pos.clear();
-        self.charge.clear();
-        self.lj_type.clear();
+        self.atoms.pos.clear();
+        self.atoms.charge.clear();
+        self.atoms.lj_type.clear();
         for &o in &self.order {
             let o = o as usize;
-            self.pos.push(pbc.wrap(positions[o]));
-            self.charge.push(top.charges[o]);
-            self.lj_type.push(top.lj_types[o]);
+            self.atoms.pos.push(pbc.wrap(positions[o]));
+            self.atoms.charge.push(top.charges[o]);
+            self.atoms.lj_type.push(top.lj_types[o]);
         }
 
         let excl = &top.exclusions;
-        let pos = &self.pos;
+        let pos = &self.atoms.pos;
         let order = &self.order;
         let hb = HalfBox::new(&pbc);
         let (n_lists, cell_churn) = if let Some(grid) = &grid {
@@ -474,7 +466,6 @@ impl NonbondedStream {
         self.filter_ext();
         self.build_plans();
         self.last_build = StreamBuild::Fresh { cell_churn };
-        self.revision += 1;
         self.fresh_revision += 1;
     }
 
@@ -487,15 +478,15 @@ impl NonbondedStream {
     fn filter_ext(&mut self) {
         let hb = HalfBox::new(&self.pbc);
         let range_sq = self.range * self.range;
-        let n = self.pos.len();
+        let n = self.atoms.pos.len();
         self.start.resize(n + 1, 0);
         self.partners.resize(self.ext_partners.len(), 0);
         let mut w = 0usize;
         self.start[0] = 0;
         for s in 0..n {
-            let ps = self.pos[s];
+            let ps = self.atoms.pos[s];
             for &t in &self.ext_partners[self.ext_start[s]..self.ext_start[s + 1]] {
-                let d = hb.min_image(ps - self.pos[t as usize]);
+                let d = hb.min_image(ps - self.atoms.pos[t as usize]);
                 if d.norm_sq() < range_sq {
                     self.partners[w] = t;
                     w += 1;
@@ -513,7 +504,7 @@ impl NonbondedStream {
     /// `(hi − lo) + import index`. Serial and deterministic, so the plans —
     /// and hence the parallel reduction — are independent of thread count.
     fn build_plans(&mut self) {
-        let ns = self.pos.len();
+        let ns = self.atoms.pos.len();
         self.partners_local.resize(self.partners.len(), 0);
         self.stamp.resize(ns, 0);
         self.slot_of.resize(ns, 0);
@@ -606,13 +597,50 @@ impl NonbondedWorkspace {
     }
 }
 
-/// Evaluate one chunk of sorted rows against the stream, accumulating into
-/// `local`. Rows accumulate at `s − lo`; partner slots come from `slots`
-/// (parallel to the working partner array): the full sorted index for the
-/// serial full-length buffer, or the chunk-local plan for the parallel
-/// path. Returns the energies plus the number of candidate pairs rejected
-/// by the cutoff test (an exact integer, so chunk sums are independent of
-/// evaluation order).
+/// Atom data in sorted stream order: positions, charges and LJ types,
+/// indexed by stream slot. The stream holds the authoritative copy; each
+/// shard holds a mirror of the same layout, poisoned outside its region.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SortedAtoms {
+    pub(crate) pos: Vec<Vec3>,
+    pub(crate) charge: Vec<f64>,
+    pub(crate) lj_type: Vec<u32>,
+}
+
+/// Where each kernel row reads its own and its partners' atom data.
+#[derive(Clone, Copy)]
+pub(crate) enum RowSource<'a> {
+    /// The stream's own atom data: the single-image engine.
+    Image(&'a SortedAtoms),
+    /// The NaN-poisoned mirror of the shard that owns the row
+    /// (`owner[s]`): bitwise the stream's data inside the shard's region,
+    /// so a read outside it is caught instead of silently succeeding.
+    Shards {
+        owner: &'a [u32],
+        mirrors: &'a [SortedAtoms],
+    },
+}
+
+impl<'a> RowSource<'a> {
+    /// The atom data row `s` reads. Chosen once per row, never per pair.
+    #[inline]
+    fn atoms(&self, s: usize) -> &'a SortedAtoms {
+        match *self {
+            RowSource::Image(atoms) => atoms,
+            RowSource::Shards { owner, mirrors } => &mirrors[owner[s] as usize],
+        }
+    }
+}
+
+/// Evaluate one chunk of sorted rows, accumulating into `local`. Each row
+/// reads its atom data from `source`; the pair list is the stream's. Rows
+/// accumulate at `s − lo`; partner slots come from `slots` (parallel to
+/// the working partner array): the full sorted index for the serial
+/// full-length buffer, or the chunk-local plan for the parallel path.
+/// Returns the energies plus the number of candidate pairs rejected by the
+/// cutoff test (an exact integer, so chunk sums are independent of
+/// evaluation order). Unless `row_pairs` is empty, row `s`'s in-cutoff
+/// pair count lands in `row_pairs[s − lo]`.
 ///
 /// The pair loop is batched [`LANES`] wide: compress in-cutoff pairs into
 /// lane arrays in partner order (pairs in the skin shell beyond the cutoff
@@ -621,17 +649,21 @@ impl NonbondedWorkspace {
 /// kernel), then accumulate the packed lanes. Padding lanes get benign
 /// inputs and are never accumulated.
 #[inline]
+#[allow(clippy::too_many_arguments)]
 fn stream_rows(
     stream: &NonbondedStream,
+    source: RowSource<'_>,
     table: &PairTable,
     alpha: f64,
     lo: usize,
     hi: usize,
     slots: &[u32],
     local: &mut [Vec3],
+    row_pairs: &mut [u32],
 ) -> (NonbondedEnergy, u64) {
     let hb = HalfBox::new(&stream.pbc);
     let cutoff_sq = table.cutoff_sq;
+    let poisoned = matches!(source, RowSource::Shards { .. });
     let mut out = NonbondedEnergy::default();
     let mut cut = 0u64;
     let mut dx = [0.0f64; LANES];
@@ -648,28 +680,35 @@ fn stream_rows(
     let mut e_lj = [0.0f64; LANES];
     let mut e_coul = [0.0f64; LANES];
     for s in lo..hi {
-        let ps = stream.pos[s];
-        let qs = stream.charge[s];
-        let row = table.row(stream.lj_type[s]);
+        let atoms = source.atoms(s);
+        let (pos, charge, lj_type) = (&atoms.pos[..], &atoms.charge[..], &atoms.lj_type[..]);
+        let ps = pos[s];
+        let qs = charge[s];
+        let row = table.row(lj_type[s]);
         let mut fs = Vec3::ZERO;
+        let cut_before = cut;
         let r1 = stream.start[s + 1];
         let mut base = stream.start[s];
         while base < r1 {
             let mut k = 0;
             while base < r1 && k < LANES {
                 let t = stream.partners[base] as usize;
-                let d = hb.min_image(ps - stream.pos[t]);
+                let d = hb.min_image(ps - pos[t]);
                 let rr = d.norm_sq();
+                debug_assert!(
+                    !(poisoned && rr.is_nan()),
+                    "row {s} read slot {t} outside its shard's import region"
+                );
                 if rr < cutoff_sq {
                     dx[k] = d.x;
                     dy[k] = d.y;
                     dz[k] = d.z;
                     r_sq[k] = rr;
-                    let e = row[stream.lj_type[t] as usize];
+                    let e = row[lj_type[t] as usize];
                     lj_a[k] = e.a;
                     lj_b[k] = e.b;
                     lj_shift[k] = e.shift;
-                    qq[k] = qs * stream.charge[t];
+                    qq[k] = qs * charge[t];
                     slot[k] = slots[base] as usize;
                     k += 1;
                 } else {
@@ -711,6 +750,9 @@ fn stream_rows(
             }
         }
         local[s - lo] += fs;
+        if !row_pairs.is_empty() {
+            row_pairs[s - lo] = (r1 - stream.start[s]) as u32 - (cut - cut_before) as u32;
+        }
     }
     (out, cut)
 }
@@ -748,10 +790,29 @@ pub fn nonbonded_forces_streamed_profiled(
     parallel: bool,
     tel: &mut Telemetry,
 ) -> NonbondedEnergy {
+    streamed_forces(system, table, ws, forces, parallel, tel, None)
+}
+
+/// The one short-range pass behind both engines. Refreshes the stream;
+/// with `shards`, re-plans them on a fresh build, runs the halo exchange,
+/// and lets every row read its owning shard's mirror. The kernel pass —
+/// serial, or the fixed [`NB_CHUNKS`] chunk merge — is the same in both
+/// cases, so forces, energies and the global counters are bitwise the
+/// single image's at any shard count. Each shard is then credited with
+/// the pairs of the rows it owns.
+pub(crate) fn streamed_forces(
+    system: &System,
+    table: &PairTable,
+    ws: &mut NonbondedWorkspace,
+    forces: &mut [Vec3],
+    parallel: bool,
+    tel: &mut Telemetry,
+    mut shards: Option<&mut ShardSet>,
+) -> NonbondedEnergy {
     let t0 = tel.start();
     if let Some(reason) = ws.stream.ensure(system) {
         tel.count_rebuild(reason);
-        let rows = ws.stream.pos.len() as u64;
+        let rows = ws.stream.atoms.pos.len() as u64;
         match ws.stream.last_build {
             StreamBuild::Patched => tel.count_rows(rows, 0, 0),
             StreamBuild::Fresh { cell_churn } => tel.count_rows(0, rows, cell_churn),
@@ -759,21 +820,33 @@ pub fn nonbonded_forces_streamed_profiled(
     }
     tel.stop(Phase::NeighborRebuild, t0);
 
-    let t0 = tel.start();
     let stream = &ws.stream;
-    let ns = stream.pos.len();
+    let (source, row_pairs) = match shards.as_deref_mut() {
+        Some(set) => {
+            set.sync(stream);
+            set.exchange(stream, tel);
+            set.rows()
+        }
+        None => (RowSource::Image(&stream.atoms), &mut [][..]),
+    };
+
+    let t0 = tel.start();
+    let ns = stream.atoms.pos.len();
     let candidates = stream.partners.len() as u64;
     let alpha = system.nb.ewald_alpha;
 
     let (total, cut) = if parallel {
         let bufs = &mut ws.chunks[..NB_CHUNKS];
-        // Per-chunk energy slots live on the stack: the steady-state
-        // parallel path must not touch the allocator (zero-alloc rule).
+        // Per-chunk energy slots and row-count spans live on the stack:
+        // the steady-state parallel path must not touch the allocator
+        // (zero-alloc rule).
         let mut energies = [(NonbondedEnergy::default(), 0u64); NB_CHUNKS];
+        let mut spans = chunk_spans(row_pairs, ns);
         bufs.par_iter_mut()
             .zip(&mut energies[..])
+            .zip(&mut spans[..])
             .enumerate()
-            .for_each(|(c, (local, slot))| {
+            .for_each(|(c, ((local, slot), rows))| {
                 let lo = c * ns / NB_CHUNKS;
                 let hi = (c + 1) * ns / NB_CHUNKS;
                 // Chunk-local buffer: own rows plus this chunk's imports —
@@ -781,7 +854,17 @@ pub fn nonbonded_forces_streamed_profiled(
                 let len = (hi - lo) + (stream.import_start[c + 1] - stream.import_start[c]);
                 local.resize(len, Vec3::ZERO);
                 local.iter_mut().for_each(|f| *f = Vec3::ZERO);
-                *slot = stream_rows(stream, table, alpha, lo, hi, &stream.partners_local, local);
+                *slot = stream_rows(
+                    stream,
+                    source,
+                    table,
+                    alpha,
+                    lo,
+                    hi,
+                    &stream.partners_local,
+                    local,
+                    rows,
+                );
             });
         // Deterministic reduction: chunk order is fixed, own rows then
         // imports; each atom receives its additions in ascending chunk
@@ -812,7 +895,17 @@ pub fn nonbonded_forces_streamed_profiled(
         let local = &mut ws.chunks[0];
         local.resize(ns, Vec3::ZERO);
         local.iter_mut().for_each(|f| *f = Vec3::ZERO);
-        let (out, cut) = stream_rows(stream, table, alpha, 0, ns, &stream.partners, local);
+        let (out, cut) = stream_rows(
+            stream,
+            source,
+            table,
+            alpha,
+            0,
+            ns,
+            &stream.partners,
+            local,
+            row_pairs,
+        );
         for (s, l) in local.iter().enumerate() {
             forces[stream.order[s] as usize] += *l;
         }
@@ -820,7 +913,26 @@ pub fn nonbonded_forces_streamed_profiled(
     };
     tel.count_pairs(candidates - cut, cut);
     tel.stop(Phase::ShortRange, t0);
+    if let Some(set) = shards {
+        set.count_pairs(stream);
+    }
     total
+}
+
+/// Split per-row counts into the [`NB_CHUNKS`] fixed row chunks. An empty
+/// `rows` (no counts wanted) yields empty spans.
+fn chunk_spans(rows: &mut [u32], ns: usize) -> [&mut [u32]; NB_CHUNKS] {
+    let mut rest = rows;
+    std::array::from_fn(|c| {
+        let len = if rest.is_empty() {
+            0
+        } else {
+            (c + 1) * ns / NB_CHUNKS - c * ns / NB_CHUNKS
+        };
+        let (span, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        span
+    })
 }
 
 #[cfg(test)]

@@ -158,6 +158,13 @@ fn two_cubed_decomposition_matches_single_image_bitwise() {
         assert_eq!(owned as usize, sharded.system.n_atoms());
         let imported: u64 = s8.shards.iter().map(|s| s.counters.atoms_imported).sum();
         assert_eq!(imported, c.atoms_imported);
+        let evaluated: u64 = s8.shards.iter().map(|s| s.counters.pairs_evaluated).sum();
+        let cut: u64 = s8.shards.iter().map(|s| s.counters.pairs_cut).sum();
+        assert_eq!(
+            (evaluated, cut),
+            (c.pairs_evaluated, c.pairs_cut),
+            "per-shard pair counts must sum to the global counters"
+        );
     }
 }
 

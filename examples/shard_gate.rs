@@ -21,9 +21,12 @@
 //!    widest decomposition must show real, symmetric halo traffic whose
 //!    per-shard pair counts sum to the global pair counter.
 //!
-//! Step times come from one CPU timing all shards serially (see
-//! EXPERIMENTS.md F20): the sweep measures work partitioning and halo
-//! volume, not parallel speedup.
+//! Step times come from the engine's serial path (`Parallelism::Serial`),
+//! where every grid runs the same one kernel pass with each row reading
+//! its owning shard's mirror; sharded rows run chunk-parallel exactly when
+//! the single image does, on the parallel path. The sweep therefore
+//! measures work partitioning and halo volume, not parallel speedup (see
+//! EXPERIMENTS.md F20).
 
 use anton2::md::builders::water_box;
 use anton2::md::prelude::*;
