@@ -5,9 +5,9 @@
 use anton2_md::builders::water_box;
 use anton2_md::constraints::ConstraintSet;
 use anton2_md::erfc::erfc;
-use anton2_md::neighbor::NeighborList;
-use anton2_md::pairkernel::{nonbonded_forces, nonbonded_forces_parallel, NB_CHUNKS};
+use anton2_md::pairkernel::nonbonded_forces;
 use anton2_md::settle::{settle_positions, SettleParams};
+use anton2_md::stream::{NonbondedStream, NonbondedWorkspace};
 use anton2_md::vec3::{v3, Vec3};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -16,22 +16,22 @@ fn bench_pair_kernel(c: &mut Criterion) {
     for waters in [64usize, 216, 512] {
         let side = (waters as f64).cbrt() as usize;
         let s = water_box(side, side, side, 1);
-        let nl = NeighborList::build(&s.pbc, &s.positions, s.nb.cutoff, s.nb.skin);
-        let pairs = anton2_md::pairkernel::count_interactions(&s, &nl, &s.topology.exclusions);
-        g.throughput(Throughput::Elements(pairs));
+        let pairs = NonbondedStream::build(&s).pairs();
+        let cutoff_sq = s.nb.cutoff * s.nb.cutoff;
+        let interactions = pairs
+            .iter()
+            .filter(|&&(i, j)| {
+                s.pbc
+                    .dist_sq(s.positions[i as usize], s.positions[j as usize])
+                    < cutoff_sq
+            })
+            .count();
+        g.throughput(Throughput::Elements(interactions as u64));
         g.bench_with_input(BenchmarkId::new("serial", s.n_atoms()), &s, |b, s| {
             let mut forces = vec![Vec3::ZERO; s.n_atoms()];
             b.iter(|| {
                 forces.iter_mut().for_each(|f| *f = Vec3::ZERO);
-                black_box(nonbonded_forces(s, &nl, &mut forces))
-            });
-        });
-        g.bench_with_input(BenchmarkId::new("parallel", s.n_atoms()), &s, |b, s| {
-            let mut forces = vec![Vec3::ZERO; s.n_atoms()];
-            let mut bufs: Vec<Vec<Vec3>> = (0..NB_CHUNKS).map(|_| Vec::new()).collect();
-            b.iter(|| {
-                forces.iter_mut().for_each(|f| *f = Vec3::ZERO);
-                black_box(nonbonded_forces_parallel(s, &nl, &mut forces, &mut bufs))
+                black_box(nonbonded_forces(s, &pairs, &mut forces))
             });
         });
     }
@@ -44,13 +44,10 @@ fn bench_neighbor_build(c: &mut Criterion) {
         let s = water_box(side, side, side, 2);
         g.throughput(Throughput::Elements(s.n_atoms() as u64));
         g.bench_with_input(BenchmarkId::from_parameter(s.n_atoms()), &s, |b, s| {
+            let mut ws = NonbondedWorkspace::new();
             b.iter(|| {
-                black_box(NeighborList::build(
-                    &s.pbc,
-                    &s.positions,
-                    s.nb.cutoff,
-                    s.nb.skin,
-                ))
+                ws.rebuild_at_epoch(s);
+                black_box(ws.stream().n_pairs())
             });
         });
     }

@@ -1,7 +1,7 @@
 //! Streaming nonbonded-engine benchmarks: the reference row-ordered kernel
 //! against the PPIM-style streamed kernel (serial and fixed-chunk
-//! parallel), and fresh neighbor-list construction against the in-place
-//! CSR rebuild. `report_streaming_speedup` sweeps thread counts — serial
+//! parallel), and a fresh stream build (`rebuild_at_epoch`) against the
+//! in-place patch (`patch_at_epoch`) — the two refreshes the engine runs. `report_streaming_speedup` sweeps thread counts — serial
 //! sections pinned to 1 worker, parallel sections run at
 //! [`PARALLEL_THREADS`] real OS threads (the rayon shim spawns one thread
 //! per chunk and re-reads `RAYON_NUM_THREADS` per call) — prints the
@@ -11,9 +11,8 @@
 use std::time::Instant;
 
 use anton2_md::builders::water_box;
-use anton2_md::neighbor::NeighborList;
 use anton2_md::pairkernel::nonbonded_forces;
-use anton2_md::stream::{nonbonded_forces_streamed, NonbondedWorkspace};
+use anton2_md::stream::{nonbonded_forces_streamed, NonbondedStream, NonbondedWorkspace};
 use anton2_md::system::System;
 use anton2_md::vec3::Vec3;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -42,7 +41,7 @@ fn bench_nonbonded_kernel(c: &mut Criterion) {
     g.sample_size(10);
     for side in SIDES {
         let s = water_box(side, side, side, 21);
-        let nl = NeighborList::build(&s.pbc, &s.positions, s.nb.cutoff, s.nb.skin);
+        let pairs = NonbondedStream::build(&s).pairs();
         let table = s.pair_table();
         g.throughput(Throughput::Elements(s.n_atoms() as u64));
         g.bench_with_input(
@@ -52,7 +51,7 @@ fn bench_nonbonded_kernel(c: &mut Criterion) {
                 let mut forces = vec![Vec3::ZERO; s.n_atoms()];
                 b.iter(|| {
                     forces.iter_mut().for_each(|f| *f = Vec3::ZERO);
-                    black_box(nonbonded_forces(s, &nl, &mut forces))
+                    black_box(nonbonded_forces(s, &pairs, &mut forces))
                 });
             },
         );
@@ -88,28 +87,20 @@ fn bench_neighbor_rebuild(c: &mut Criterion) {
     g.sample_size(10);
     for side in SIDES {
         let s = water_box(side, side, side, 22);
-        let excl = &s.topology.exclusions;
         g.throughput(Throughput::Elements(s.n_atoms() as u64));
         g.bench_with_input(BenchmarkId::new("fresh", s.n_atoms()), &s, |b, s| {
+            let mut ws = NonbondedWorkspace::new();
             b.iter(|| {
-                black_box(
-                    NeighborList::build_with(
-                        &s.pbc,
-                        &s.positions,
-                        s.nb.cutoff,
-                        s.nb.skin,
-                        Some(excl),
-                    )
-                    .n_pairs(),
-                )
+                ws.rebuild_at_epoch(s);
+                black_box(ws.stream().n_pairs())
             });
         });
         g.bench_with_input(BenchmarkId::new("in_place", s.n_atoms()), &s, |b, s| {
-            let mut nl =
-                NeighborList::build_with(&s.pbc, &s.positions, s.nb.cutoff, s.nb.skin, Some(excl));
+            let mut ws = NonbondedWorkspace::new();
+            ws.rebuild_at_epoch(s);
             b.iter(|| {
-                nl.rebuild(&s.pbc, &s.positions, Some(excl));
-                black_box(nl.n_pairs())
+                ws.patch_at_epoch(s);
+                black_box(ws.stream().n_pairs())
             });
         });
     }
@@ -155,14 +146,14 @@ fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
 fn sweep_one(side: usize) -> SizeRecord {
     const REPS: usize = 5;
     let s: System = water_box(side, side, side, 23);
-    let nl = NeighborList::build(&s.pbc, &s.positions, s.nb.cutoff, s.nb.skin);
+    let pairs = NonbondedStream::build(&s).pairs();
     let table = s.pair_table();
     let mut forces = vec![Vec3::ZERO; s.n_atoms()];
 
     set_threads(1);
     let reference_serial_ms = time_ms(REPS, || {
         forces.iter_mut().for_each(|f| *f = Vec3::ZERO);
-        black_box(nonbonded_forces(&s, &nl, &mut forces));
+        black_box(nonbonded_forces(&s, &pairs, &mut forces));
     });
     let mut ws = NonbondedWorkspace::new();
     let streamed_serial_ms = time_ms(REPS, || {
@@ -188,31 +179,24 @@ fn sweep_one(side: usize) -> SizeRecord {
         ));
     });
 
-    let excl = &s.topology.exclusions;
+    let mut fresh = NonbondedWorkspace::new();
     set_threads(1);
     let fresh_build_ms = time_ms(REPS, || {
-        black_box(
-            NeighborList::build_with(&s.pbc, &s.positions, s.nb.cutoff, s.nb.skin, Some(excl))
-                .n_pairs(),
-        );
+        fresh.rebuild_at_epoch(&s);
+        black_box(fresh.stream().n_pairs());
     });
     set_threads(PARALLEL_THREADS);
     let fresh_build_parallel_ms = time_ms(REPS, || {
-        black_box(
-            NeighborList::build_with(&s.pbc, &s.positions, s.nb.cutoff, s.nb.skin, Some(excl))
-                .n_pairs(),
-        );
+        fresh.rebuild_at_epoch(&s);
+        black_box(fresh.stream().n_pairs());
     });
-    // At unchanged positions the in-place rebuild takes the cheapest path:
-    // drift is zero, so the retained extended list is re-filtered (patch)
-    // rather than rescanned — the steady-state cost an MD run pays on most
-    // skin-exceeded refreshes.
+    // The patch re-filters the retained extended list at the current
+    // positions (no cell rescan, no re-permutation) — the refresh an MD run
+    // takes on most skin-exceeded steps.
     set_threads(1);
-    let mut reused =
-        NeighborList::build_with(&s.pbc, &s.positions, s.nb.cutoff, s.nb.skin, Some(excl));
     let in_place_rebuild_ms = time_ms(REPS, || {
-        reused.rebuild(&s.pbc, &s.positions, Some(excl));
-        black_box(reused.n_pairs());
+        fresh.patch_at_epoch(&s);
+        black_box(fresh.stream().n_pairs());
     });
 
     SizeRecord {
@@ -249,8 +233,8 @@ fn report_streaming_speedup(_c: &mut Criterion) {
     for r in &report.sizes {
         println!(
             "nonbonded {} atoms ({} pairs, {} ext): reference {:.2} ms, streamed serial {:.2} ms \
-             ({:.2}x), streamed parallel {:.2} ms ({:.2}x vs reference, {:.2}x vs serial); list \
-             build fresh {:.2} ms serial / {:.2} ms parallel vs in-place {:.2} ms",
+             ({:.2}x), streamed parallel {:.2} ms ({:.2}x vs reference, {:.2}x vs serial); stream \
+             build fresh {:.2} ms serial / {:.2} ms parallel vs patch {:.2} ms",
             r.atoms,
             r.pairs,
             r.ext_pairs,

@@ -17,8 +17,8 @@ use crate::decomp::Decomposition;
 use anton2_fft::{Layout, PencilFft};
 use anton2_md::fixedpoint::FixedAccumulator;
 use anton2_md::gse::{Gse, GseParams, GseWorkspace};
-use anton2_md::neighbor::NeighborList;
 use anton2_md::pairkernel::pair_interaction;
+use anton2_md::stream::NonbondedStream;
 use anton2_md::units::COULOMB;
 use anton2_md::vec3::Vec3;
 use anton2_md::System;
@@ -29,58 +29,36 @@ use anton2_net::Torus;
 /// other (`ntmethod::nt_node_for_pair`) — exactly how Anton distributes the
 /// range-limited computation.
 pub fn assign_pairs_nt(system: &System, decomp: &Decomposition) -> Vec<Vec<(u32, u32)>> {
-    let nl = NeighborList::build(
-        &system.pbc,
-        &system.positions,
-        system.nb.cutoff,
-        system.nb.skin,
-    );
-    let cutoff_sq = system.nb.cutoff * system.nb.cutoff;
-    let mut per_node = vec![Vec::new(); decomp.torus.n_nodes() as usize];
-    for i in 0..system.n_atoms() {
-        for &j in nl.row(i) {
-            let jj = j as usize;
-            if system
-                .pbc
-                .dist_sq(system.positions[i], system.positions[jj])
-                < cutoff_sq
-                && !system.topology.exclusions.is_excluded(i, jj)
-            {
-                let node = crate::ntmethod::nt_node_for_pair(
-                    decomp,
-                    system.positions[i],
-                    system.positions[jj],
-                );
-                per_node[node as usize].push((i as u32, j));
-            }
-        }
-    }
-    per_node
+    let pairs = NonbondedStream::build(system).pairs();
+    assign(system, decomp, &pairs, AssignRule::NeutralTerritory)
 }
 
 /// Per-pair assignment: every in-range, non-excluded pair goes to exactly
 /// one node — the owner of its lower-indexed atom.
 pub fn assign_pairs(system: &System, decomp: &Decomposition) -> Vec<Vec<(u32, u32)>> {
-    let nl = NeighborList::build(
-        &system.pbc,
-        &system.positions,
-        system.nb.cutoff,
-        system.nb.skin,
-    );
+    let pairs = NonbondedStream::build(system).pairs();
+    assign(system, decomp, &pairs, AssignRule::MinIndexOwner)
+}
+
+/// Distribute the in-cutoff pairs of the stream's working list `pairs`
+/// (exclusions already baked out) over the nodes by `rule`.
+fn assign(
+    system: &System,
+    decomp: &Decomposition,
+    pairs: &[(u32, u32)],
+    rule: AssignRule,
+) -> Vec<Vec<(u32, u32)>> {
     let cutoff_sq = system.nb.cutoff * system.nb.cutoff;
+    let pos = &system.positions;
     let mut per_node = vec![Vec::new(); decomp.torus.n_nodes() as usize];
-    for i in 0..system.n_atoms() {
-        let owner = decomp.owner(system.positions[i]) as usize;
-        for &j in nl.row(i) {
-            let jj = j as usize;
-            if system
-                .pbc
-                .dist_sq(system.positions[i], system.positions[jj])
-                < cutoff_sq
-                && !system.topology.exclusions.is_excluded(i, jj)
-            {
-                per_node[owner].push((i as u32, j));
-            }
+    for &(i, j) in pairs {
+        let (pi, pj) = (pos[i as usize], pos[j as usize]);
+        if system.pbc.dist_sq(pi, pj) < cutoff_sq {
+            let node = match rule {
+                AssignRule::MinIndexOwner => decomp.owner(pi),
+                AssignRule::NeutralTerritory => crate::ntmethod::nt_node_for_pair(decomp, pi, pj),
+            };
+            per_node[node as usize].push((i, j));
         }
     }
     per_node
@@ -173,10 +151,8 @@ pub fn verify_pair_forces_with(
     rule: AssignRule,
 ) -> CosimOutcome {
     let decomp = Decomposition::new(Torus::for_nodes(nodes), system.pbc);
-    let per_node = match rule {
-        AssignRule::MinIndexOwner => assign_pairs(system, &decomp),
-        AssignRule::NeutralTerritory => assign_pairs_nt(system, &decomp),
-    };
+    let pairs = NonbondedStream::build(system).pairs();
+    let per_node = assign(system, &decomp, &pairs, rule);
 
     // Per-node partials, merged (integer adds: order-free).
     let mut merged = FixedAccumulator::new(system.n_atoms());
@@ -188,15 +164,9 @@ pub fn verify_pair_forces_with(
         merged.merge(&local);
     }
 
-    // Serial reference (pure f64).
-    let nl = NeighborList::build(
-        &system.pbc,
-        &system.positions,
-        system.nb.cutoff,
-        system.nb.skin,
-    );
+    // Serial reference (pure f64) over the same pair list.
     let mut serial = vec![Vec3::ZERO; system.n_atoms()];
-    anton2_md::pairkernel::nonbonded_forces(system, &nl, &mut serial);
+    anton2_md::pairkernel::nonbonded_forces(system, &pairs, &mut serial);
 
     let mut max_err = 0.0f64;
     for (i, s) in serial.iter().enumerate() {
@@ -325,10 +295,9 @@ mod tests {
         let decomp = Decomposition::new(Torus::for_nodes(8), s.pbc);
         let per_node = assign_pairs(&s, &decomp);
         let total: usize = per_node.iter().map(|v| v.len()).sum();
-        // Must equal the serial interaction count.
-        let nl = NeighborList::build(&s.pbc, &s.positions, s.nb.cutoff, s.nb.skin);
-        let serial = anton2_md::pairkernel::count_interactions(&s, &nl, &s.topology.exclusions);
-        assert_eq!(total as u64, serial);
+        // Must equal the brute-force interaction count.
+        let serial = anton2_md::stream::brute_force_pairs(&s, s.nb.cutoff).len();
+        assert_eq!(total, serial);
         // No duplicates across nodes.
         let mut all: Vec<(u32, u32)> = per_node.into_iter().flatten().collect();
         let before = all.len();

@@ -1035,9 +1035,7 @@ mod tests {
     #[test]
     fn pair_estimate_matches_reality_within_20_percent() {
         let (p, s) = plan_for(8);
-        let nl =
-            anton2_md::neighbor::NeighborList::build(&s.pbc, &s.positions, s.nb.cutoff, s.nb.skin);
-        let real = anton2_md::pairkernel::count_interactions(&s, &nl, &s.topology.exclusions);
+        let real = anton2_md::stream::brute_force_pairs(&s, s.nb.cutoff).len();
         let est = p.total_pairs();
         let ratio = est as f64 / real as f64;
         assert!((0.8..1.3).contains(&ratio), "est {est} vs real {real}");

@@ -40,7 +40,6 @@ pub const HOT_MODULES: &[&str] = &[
     "fixedpoint.rs",
     "pairkernel.rs",
     "bonded.rs",
-    "neighbor.rs",
     "cells.rs",
     "integrate.rs",
     "shard.rs",
@@ -133,11 +132,6 @@ pub const ALLOC_EXEMPT: &[(&str, &str)] = &[
     ("stream.rs", "patch_at_epoch"),
     // Cell binning allocates the CSR arrays on (re)build.
     ("cells.rs", "build"),
-    // Neighbor-list construction and the per-epoch rebuild grow the CSR
-    // and reference-position buffers; both are amortized over the skin
-    // interval, not per-step work.
-    ("neighbor.rs", "build_with"),
-    ("neighbor.rs", "rebuild"),
     // Shard exchange planning builds the per-shard row plan once per
     // fresh stream build (reached from `sync`, not per step).
     ("shard.rs", "plan"),
@@ -149,10 +143,14 @@ pub const ALLOC_EXEMPT: &[(&str, &str)] = &[
     // Co-sim verification harness: runs per functional check, not per MD
     // step — its pair assignment and scratch vectors are out of scope for
     // the steady-state zero-alloc claim.
-    ("cosim.rs", "assign_pairs"),
-    ("cosim.rs", "assign_pairs_nt"),
+    // Its pair list comes from a one-shot stream build (`build` → `new`)
+    // read back in atom order (`pairs`).
+    ("cosim.rs", "assign"),
     ("cosim.rs", "node_pair_forces"),
     ("cosim.rs", "verify_pair_forces_with"),
+    ("stream.rs", "build"),
+    ("stream.rs", "new"),
+    ("stream.rs", "pairs"),
     // Machine-model task schedule construction (timing model, not the MD
     // data path).
     ("schedule.rs", "add"),

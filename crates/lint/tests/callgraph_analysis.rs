@@ -406,7 +406,9 @@ fn workspace_root() -> std::path::PathBuf {
 /// as hot by the call-graph pass, or coverage regressed. Entries whose
 /// code was later deleted from the workspace are dropped (the shard
 /// record/replay pipeline: `record`, `record_shard_rows`, `replay`,
-/// `replay_rows`, superseded by the per-row-mirror kernel).
+/// `replay_rows`, superseded by the per-row-mirror kernel; the classic
+/// neighbor list's `assemble_ext` and `filter_rows`, superseded by the
+/// stream, whose `filter_ext` is listed).
 const LEGACY_HOT_PATH: &[(&str, &str)] = &[
     ("pbc.rs", "min_image"),
     ("pbc.rs", "fold"),
@@ -423,8 +425,6 @@ const LEGACY_HOT_PATH: &[(&str, &str)] = &[
     ("pairkernel.rs", "pair_interaction_lanes"),
     ("erfc.rs", "erfc_exp_fast"),
     ("erfc.rs", "erfc_exp_fast8"),
-    ("neighbor.rs", "assemble_ext"),
-    ("neighbor.rs", "filter_rows"),
     ("pairkernel.rs", "lj_shift_at"),
     ("pairkernel.rs", "excluded_corrections"),
     ("pairkernel.rs", "scaled14_corrections"),

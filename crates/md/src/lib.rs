@@ -6,8 +6,9 @@
 //!
 //! * math & conventions: [`vec3`], [`pbc`], [`units`], [`erfc`];
 //! * chemistry: [`topology`], [`forcefield`], synthetic [`builders`];
-//! * nonbonded machinery: [`cells`], [`neighbor`], [`pairkernel`], and the
-//!   PPIM-style streaming engine in [`stream`];
+//! * nonbonded machinery: [`cells`], [`pairkernel`], and the PPIM-style
+//!   streaming engine in [`stream`], whose pair stream is the one neighbor
+//!   structure;
 //! * bonded terms: [`bonded`];
 //! * electrostatics: classic [`ewald`] (the oracle) and grid-based [`gse`]
 //!   (Gaussian-split Ewald, the Anton method family) on `anton2-fft`;
@@ -31,7 +32,6 @@ pub mod forcefield;
 pub mod gse;
 pub mod integrate;
 pub mod minimize;
-pub mod neighbor;
 pub mod observables;
 pub mod pairkernel;
 pub mod pbc;

@@ -7,7 +7,6 @@
 
 use crate::erfc::{erfc, erfc_exp_fast, erfc_exp_fast8};
 use crate::system::System;
-use crate::topology::Exclusions;
 use crate::units::COULOMB;
 use crate::vec3::Vec3;
 
@@ -137,28 +136,37 @@ pub fn pair_interaction(
     (f_lj + f_coul, e_lj, e_coul)
 }
 
-/// Compute nonbonded forces from a half neighbor list, accumulating into
-/// `forces` and returning the energy tallies.
+/// Reference nonbonded kernel: forces from a pair list, accumulated into
+/// `forces`, returning the energy tallies.
 ///
-/// Pairs beyond the true cutoff (the list range includes the skin) and fully
-/// excluded pairs are skipped.
+/// `pairs` holds `(i, j)` with `i < j`, sorted ascending — the shape of
+/// `stream::NonbondedStream::pairs`. Rows are accumulated one atom at a
+/// time with partners ascending. Pairs beyond the true cutoff (a list's
+/// range includes the skin) and fully excluded pairs are skipped.
 pub fn nonbonded_forces(
     system: &System,
-    nl: &crate::neighbor::NeighborList,
+    pairs: &[(u32, u32)],
     forces: &mut [Vec3],
 ) -> NonbondedEnergy {
+    debug_assert!(
+        pairs.windows(2).all(|w| w[0] < w[1]),
+        "pairs must be sorted"
+    );
     let cutoff_sq = system.nb.cutoff * system.nb.cutoff;
     let alpha = system.nb.ewald_alpha;
     let top = &system.topology;
     let ff = &system.forcefield;
     let mut out = NonbondedEnergy::default();
+    let mut rest = pairs;
 
     for i in 0..system.n_atoms() {
+        let (row, tail) = rest.split_at(rest.partition_point(|p| p.0 as usize == i));
+        rest = tail;
         let pi = system.positions[i];
         let qi = top.charges[i];
         let ti = top.lj_types[i];
         let mut fi = Vec3::ZERO;
-        for &j in nl.row(i) {
+        for &(_, j) in row {
             let j = j as usize;
             let d = system.pbc.min_image(pi, system.positions[j]);
             let r_sq = d.norm_sq();
@@ -181,86 +189,6 @@ pub fn nonbonded_forces(
         forces[i] += fi;
     }
     out
-}
-
-/// Parallel variant of [`nonbonded_forces`] with run-to-run deterministic
-/// output: atom rows are split into a *fixed* number of chunks
-/// ([`NB_CHUNKS`], independent of the rayon thread count), each chunk
-/// accumulates into a private force buffer, and buffers are reduced in chunk
-/// order. The result is bitwise reproducible across runs and thread counts
-/// (though not bitwise equal to the serial kernel, whose accumulation order
-/// differs).
-///
-/// `buffers` supplies the per-chunk accumulators (≥ [`NB_CHUNKS`] of them,
-/// e.g. `stream::NonbondedWorkspace::chunk_buffers_mut`); they are resized
-/// to the atom count and zeroed here, so a reused workspace makes repeated
-/// calls allocation-free.
-pub fn nonbonded_forces_parallel(
-    system: &System,
-    nl: &crate::neighbor::NeighborList,
-    forces: &mut [Vec3],
-    buffers: &mut [Vec<Vec3>],
-) -> NonbondedEnergy {
-    use rayon::prelude::*;
-    let n = system.n_atoms();
-    let cutoff_sq = system.nb.cutoff * system.nb.cutoff;
-    let alpha = system.nb.ewald_alpha;
-    let top = &system.topology;
-    let ff = &system.forcefield;
-    assert!(buffers.len() >= NB_CHUNKS, "need NB_CHUNKS chunk buffers");
-
-    let energies: Vec<NonbondedEnergy> = buffers[..NB_CHUNKS]
-        .par_iter_mut()
-        .enumerate()
-        .map(|(c, local)| {
-            local.resize(n, Vec3::ZERO);
-            local.iter_mut().for_each(|f| *f = Vec3::ZERO);
-            let lo = c * n / NB_CHUNKS;
-            let hi = (c + 1) * n / NB_CHUNKS;
-            let mut out = NonbondedEnergy::default();
-            for i in lo..hi {
-                let pi = system.positions[i];
-                let qi = top.charges[i];
-                let ti = top.lj_types[i];
-                let mut fi = Vec3::ZERO;
-                for &j in nl.row(i) {
-                    let j = j as usize;
-                    let d = system.pbc.min_image(pi, system.positions[j]);
-                    let r_sq = d.norm_sq();
-                    if r_sq >= cutoff_sq || top.exclusions.is_excluded(i, j) {
-                        continue;
-                    }
-                    let lj = ff.lj(ti, top.lj_types[j]);
-                    let shift = lj_shift_at(lj.a, lj.b, cutoff_sq);
-                    let (f_lj, f_coul, e_lj, e_coul) =
-                        pair_interaction_split(r_sq, lj.a, lj.b, shift, qi * top.charges[j], alpha);
-                    let f_over_r = f_lj + f_coul;
-                    let f = d * f_over_r;
-                    fi += f;
-                    local[j] -= f;
-                    out.lj += e_lj;
-                    out.coulomb_real += e_coul;
-                    out.virial += f_over_r * r_sq;
-                    out.virial_lj += f_lj * r_sq;
-                }
-                local[i] += fi;
-            }
-            out
-        })
-        .collect();
-
-    // Deterministic reduction: chunk order is fixed.
-    let mut total = NonbondedEnergy::default();
-    for (local, e) in buffers[..NB_CHUNKS].iter().zip(&energies) {
-        for (f, l) in forces.iter_mut().zip(local) {
-            *f += *l;
-        }
-        total.lj += e.lj;
-        total.coulomb_real += e.coulomb_real;
-        total.virial += e.virial;
-        total.virial_lj += e.virial_lj;
-    }
-    total
 }
 
 /// LJ energy at the cutoff, used for potential-shift truncation.
@@ -366,36 +294,12 @@ pub fn scaled14_corrections(system: &System, forces: &mut [Vec3]) -> (f64, f64, 
     (e_lj, e_coul, virial, virial_lj)
 }
 
-/// Count of non-excluded pairs inside the true cutoff — the exact number of
-/// PPIM pipeline evaluations one step performs. Used by the machine timing
-/// model.
-pub fn count_interactions(
-    system: &System,
-    nl: &crate::neighbor::NeighborList,
-    exclusions: &Exclusions,
-) -> u64 {
-    let cutoff_sq = system.nb.cutoff * system.nb.cutoff;
-    let mut n = 0u64;
-    for i in 0..system.n_atoms() {
-        let pi = system.positions[i];
-        for &j in nl.row(i) {
-            let j = j as usize;
-            if system.pbc.dist_sq(pi, system.positions[j]) < cutoff_sq
-                && !exclusions.is_excluded(i, j)
-            {
-                n += 1;
-            }
-        }
-    }
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::forcefield::{ForceField, LjType, NonbondedSettings};
-    use crate::neighbor::NeighborList;
     use crate::pbc::PbcBox;
+    use crate::stream::brute_force_pairs;
     use crate::topology::Topology;
     use crate::vec3::v3;
 
@@ -420,14 +324,9 @@ mod tests {
     }
 
     fn forces_of(system: &System) -> (Vec<Vec3>, NonbondedEnergy) {
-        let nl = NeighborList::build(
-            &system.pbc,
-            &system.positions,
-            system.nb.cutoff,
-            system.nb.skin,
-        );
+        let pairs = brute_force_pairs(system, system.nb.cutoff + system.nb.skin);
         let mut f = vec![Vec3::ZERO; system.n_atoms()];
-        let e = nonbonded_forces(system, &nl, &mut f);
+        let e = nonbonded_forces(system, &pairs, &mut f);
         (f, e)
     }
 
@@ -507,7 +406,9 @@ mod tests {
             r0: 3.0,
         });
         s.topology.build_exclusions();
-        let (f, e) = forces_of(&s);
+        // Hand the kernel the excluded pair itself: it must skip it.
+        let mut f = vec![Vec3::ZERO; 2];
+        let e = nonbonded_forces(&s, &[(0, 1)], &mut f);
         assert_eq!(e.total(), 0.0, "excluded pair must not contribute");
         assert_eq!(f[0], Vec3::ZERO);
         // The k-space compensation is nonzero and attractive-compensating.
@@ -540,40 +441,6 @@ mod tests {
         let s = two_atom_system(2.5, 0.5, 0.5);
         let (_, e) = forces_of(&s);
         assert!(e.virial > 0.0, "repulsive pair has positive virial");
-    }
-
-    #[test]
-    fn parallel_kernel_matches_serial() {
-        use crate::builders::water_box;
-        let s = water_box(5, 5, 5, 3);
-        let nl = NeighborList::build(&s.pbc, &s.positions, s.nb.cutoff, s.nb.skin);
-        let mut fs = vec![Vec3::ZERO; s.n_atoms()];
-        let es = nonbonded_forces(&s, &nl, &mut fs);
-        let mut fp = vec![Vec3::ZERO; s.n_atoms()];
-        let mut bufs: Vec<Vec<Vec3>> = (0..NB_CHUNKS).map(|_| Vec::new()).collect();
-        let ep = nonbonded_forces_parallel(&s, &nl, &mut fp, &mut bufs);
-        assert!((es.lj - ep.lj).abs() < 1e-9 * es.lj.abs().max(1.0));
-        assert!((es.coulomb_real - ep.coulomb_real).abs() < 1e-9 * es.coulomb_real.abs().max(1.0));
-        assert!((es.virial_lj - ep.virial_lj).abs() < 1e-9 * es.virial_lj.abs().max(1.0));
-        for (a, b) in fs.iter().zip(&fp) {
-            assert!((*a - *b).norm() < 1e-9 * (1.0 + a.norm()));
-        }
-    }
-
-    #[test]
-    fn parallel_kernel_is_run_deterministic() {
-        use crate::builders::water_box;
-        let s = water_box(4, 4, 4, 5);
-        let nl = NeighborList::build(&s.pbc, &s.positions, s.nb.cutoff, s.nb.skin);
-        let run = || {
-            let mut f = vec![Vec3::ZERO; s.n_atoms()];
-            let mut bufs: Vec<Vec<Vec3>> = (0..NB_CHUNKS).map(|_| Vec::new()).collect();
-            nonbonded_forces_parallel(&s, &nl, &mut f, &mut bufs);
-            f.iter()
-                .map(|v| v.x.to_bits() ^ v.y.to_bits() ^ v.z.to_bits())
-                .fold(0u64, |a, b| a ^ b)
-        };
-        assert_eq!(run(), run());
     }
 
     #[test]
@@ -613,15 +480,5 @@ mod tests {
             assert_eq!(e_lj[l].to_bits(), se_lj.to_bits(), "e_lj lane {l}");
             assert_eq!(e_coul[l].to_bits(), se_coul.to_bits(), "e_coul lane {l}");
         }
-    }
-
-    #[test]
-    fn interaction_count_matches_kernel_loop() {
-        let s = two_atom_system(4.0, 0.1, 0.1);
-        let nl = NeighborList::build(&s.pbc, &s.positions, s.nb.cutoff, s.nb.skin);
-        assert_eq!(count_interactions(&s, &nl, &s.topology.exclusions), 1);
-        let far = two_atom_system(15.0, 0.1, 0.1);
-        let nl = NeighborList::build(&far.pbc, &far.positions, far.nb.cutoff, far.nb.skin);
-        assert_eq!(count_interactions(&far, &nl, &far.topology.exclusions), 0);
     }
 }

@@ -103,8 +103,8 @@ impl PbcBox {
 /// the three divisions of [`PbcBox::min_image`]. Differs from the `round()`
 /// form only at `|d| = L/2` exactly, which lies beyond any valid cutoff.
 ///
-/// Shared by the streaming kernel (`stream.rs`) and the extended-list
-/// filter (`neighbor.rs`): both must fold displacements with *identical*
+/// Shared by the streaming kernel and the stream's extended-list filter
+/// (both in `stream.rs`): both must fold displacements with *identical*
 /// arithmetic so the verify-and-patch rebuild is bitwise equal to a fresh
 /// build.
 #[derive(Clone, Copy, Debug)]

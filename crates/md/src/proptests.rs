@@ -5,10 +5,9 @@
 #![cfg(test)]
 
 use crate::forcefield::{ForceField, NonbondedSettings};
-use crate::neighbor::NeighborList;
 use crate::pairkernel::{nonbonded_forces, NonbondedEnergy};
 use crate::pbc::PbcBox;
-use crate::stream::{nonbonded_forces_streamed, NonbondedWorkspace};
+use crate::stream::{brute_force_pairs, nonbonded_forces_streamed, NonbondedWorkspace};
 use crate::system::System;
 use crate::topology::{Bond, Topology};
 use crate::vec3::{v3, Vec3};
@@ -53,14 +52,9 @@ fn pair_forces(system: &System) -> (Vec<Vec3>, f64) {
 }
 
 fn reference_kernel(system: &System) -> (Vec<Vec3>, NonbondedEnergy) {
-    let nl = NeighborList::build(
-        &system.pbc,
-        &system.positions,
-        system.nb.cutoff,
-        system.nb.skin,
-    );
+    let pairs = brute_force_pairs(system, system.nb.cutoff + system.nb.skin);
     let mut f = vec![Vec3::ZERO; system.n_atoms()];
-    let e = nonbonded_forces(system, &nl, &mut f);
+    let e = nonbonded_forces(system, &pairs, &mut f);
     (f, e)
 }
 

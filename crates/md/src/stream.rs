@@ -44,7 +44,6 @@
 
 use crate::cells::CellGrid;
 use crate::forcefield::PairTable;
-use crate::neighbor::RebuildReason;
 use crate::pairkernel::{pair_interaction_lanes, NonbondedEnergy, LANES, NB_CHUNKS};
 use crate::pbc::{HalfBox, PbcBox};
 use crate::shard::ShardSet;
@@ -61,8 +60,25 @@ const FALLBACK_CHUNKS: usize = 16;
 /// scan metric (cell-shift form on wrapped coordinates) and the drift
 /// metric (`PbcBox::dist_sq` on raw positions); the guard absorbs their
 /// ulp-level disagreement so a patched list can never miss a pair a fresh
-/// build at `range` would find. Mirrors `neighbor.rs`.
+/// build at `range` would find.
 const MARGIN_GUARD: f64 = 1e-9;
+
+/// Why the stream had to be refreshed. Threaded out to the telemetry
+/// counters so skin-triggered and box-triggered rebuilds are
+/// distinguishable — a barostat run that rebuilds every coupling period
+/// looks very different from a hot system churning through its skin.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RebuildReason {
+    /// First build (cold stream).
+    Initial,
+    /// Some atom drifted more than `skin/2` from its build-time position.
+    SkinExceeded,
+    /// The periodic box changed (barostat rescale), so build-time geometry
+    /// is invalid regardless of drift.
+    BoxChanged,
+    /// Explicitly invalidated (checkpoint restore, parameter change).
+    Invalidated,
+}
 
 /// How the current working list was produced.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -179,6 +195,29 @@ impl NonbondedStream {
             fresh_revision: 0,
             cell_dims: None,
         }
+    }
+
+    /// A stream freshly built for `system` at range `cutoff + skin`.
+    pub fn build(system: &System) -> Self {
+        let mut stream = Self::new();
+        stream.rebuild(system);
+        stream
+    }
+
+    /// The working list in original atom order: every non-excluded pair
+    /// within `cutoff + skin` at the last refresh, as `(i, j)` with
+    /// `i < j`, sorted ascending.
+    pub fn pairs(&self) -> Vec<(u32, u32)> {
+        let mut out = Vec::with_capacity(self.partners.len());
+        for s in 0..self.order.len() {
+            let i = self.order[s];
+            for &t in &self.partners[self.start[s]..self.start[s + 1]] {
+                let j = self.order[t as usize];
+                out.push((i.min(j), i.max(j)));
+            }
+        }
+        out.sort_unstable();
+        out
     }
 
     /// Number of stored (unordered, non-excluded) working candidate pairs.
@@ -589,12 +628,6 @@ impl NonbondedWorkspace {
     pub fn patch_at_epoch(&mut self, system: &System) {
         self.stream.patch(system);
     }
-
-    /// The `NB_CHUNKS` per-chunk force buffers, for callers that drive
-    /// `pairkernel::nonbonded_forces_parallel` directly.
-    pub fn chunk_buffers_mut(&mut self) -> &mut [Vec<Vec3>] {
-        &mut self.chunks
-    }
 }
 
 /// Atom data in sorted stream order: positions, charges and LJ types,
@@ -935,22 +968,36 @@ fn chunk_spans(rows: &mut [u32], ns: usize) -> [&mut [u32]; NB_CHUNKS] {
     })
 }
 
+/// Test oracle: every non-excluded pair `(i, j)`, `i < j`, closer than
+/// `range` under [`PbcBox::dist_sq`], found by an O(N²) scan over all pairs
+/// — independent of the cell grid, the stream and its patch logic. Sorted
+/// ascending, so it compares directly with [`NonbondedStream::pairs`].
+#[cfg(any(test, feature = "test-support"))]
+pub fn brute_force_pairs(system: &System, range: f64) -> Vec<(u32, u32)> {
+    let pos = &system.positions;
+    let excl = &system.topology.exclusions;
+    let mut out = Vec::new();
+    for i in 0..pos.len() {
+        for j in (i + 1)..pos.len() {
+            if system.pbc.dist_sq(pos[i], pos[j]) < range * range && !excl.is_excluded(i, j) {
+                out.push((i as u32, j as u32));
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builders::water_box;
-    use crate::neighbor::NeighborList;
     use crate::pairkernel::nonbonded_forces;
 
+    /// The reference kernel over the brute-force list at `cutoff + skin`.
     fn reference(system: &System) -> (Vec<Vec3>, NonbondedEnergy) {
-        let nl = NeighborList::build(
-            &system.pbc,
-            &system.positions,
-            system.nb.cutoff,
-            system.nb.skin,
-        );
+        let pairs = brute_force_pairs(system, system.nb.cutoff + system.nb.skin);
         let mut f = vec![Vec3::ZERO; system.n_atoms()];
-        let e = nonbonded_forces(system, &nl, &mut f);
+        let e = nonbonded_forces(system, &pairs, &mut f);
         (f, e)
     }
 
@@ -1188,7 +1235,6 @@ mod tests {
 
     #[test]
     fn rebuild_reasons_are_distinguished() {
-        use crate::neighbor::RebuildReason;
         use crate::telemetry::TelemetryLevel;
         let mut s = water_box(5, 5, 5, 19);
         let table = s.pair_table();
@@ -1232,6 +1278,66 @@ mod tests {
             None,
             "stream current after the last evaluation"
         );
+    }
+
+    /// The stream's working list must be exactly the brute-force set of
+    /// non-excluded pairs within `cutoff + skin`. Water carries full
+    /// exclusions inside every molecule, so baking is checked pair by pair.
+    fn assert_pairs_match_brute_force(s: &System) {
+        assert!(s.topology.exclusions.n_excluded_pairs() > 0);
+        let stream = NonbondedStream::build(s);
+        let want = brute_force_pairs(s, s.nb.cutoff + s.nb.skin);
+        assert_eq!(stream.pairs(), want);
+        assert_eq!(stream.n_pairs(), want.len());
+        // Half list in sorted space: every row strictly ascending, every
+        // partner above its row.
+        for r in 0..s.n_atoms() {
+            let row = &stream.partners[stream.start[r]..stream.start[r + 1]];
+            assert!(row.windows(2).all(|w| w[0] < w[1]), "row {r} unsorted");
+            assert!(row.iter().all(|&t| t as usize > r), "row {r} not half");
+        }
+    }
+
+    #[test]
+    fn matches_brute_force_cell_path() {
+        // 37.2 Å box at range 10 → a 3×3×3 cell grid.
+        let s = water_box(12, 12, 12, 3);
+        assert!(CellGrid::build(&s.pbc, &s.positions, 10.0).is_some());
+        assert_pairs_match_brute_force(&s);
+    }
+
+    #[test]
+    fn matches_brute_force_small_box_fallback() {
+        // 18.6 Å box at range 10 → too small for cells: all-pairs fallback.
+        let s = water_box(6, 6, 6, 5);
+        assert!(CellGrid::build(&s.pbc, &s.positions, 10.0).is_none());
+        assert_pairs_match_brute_force(&s);
+    }
+
+    #[test]
+    fn rebuild_criterion_respects_pbc() {
+        // An atom drifting across the periodic wall is a tiny periodic
+        // displacement and must not trigger a rebuild.
+        use crate::forcefield::{ForceField, NonbondedSettings};
+        use crate::topology::Topology;
+        let topology = Topology {
+            masses: vec![12.0; 2],
+            charges: vec![0.0; 2],
+            lj_types: vec![0; 2],
+            ..Default::default()
+        };
+        let mut s = System::new(
+            topology,
+            ForceField::standard(),
+            NonbondedSettings::default(),
+            PbcBox::cubic(40.0),
+            vec![Vec3::new(0.05, 1.0, 1.0), Vec3::new(20.0, 20.0, 20.0)],
+        );
+        let stream = NonbondedStream::build(&s);
+        s.positions[0].x = 39.95; // moved −0.1 through the wall
+        assert_eq!(stream.staleness(&s), None);
+        s.positions[0].x = 39.4; // −0.65: past skin/2
+        assert_eq!(stream.staleness(&s), Some(RebuildReason::SkinExceeded));
     }
 
     #[test]

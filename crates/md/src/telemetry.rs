@@ -32,7 +32,7 @@
 //! [`StepProfile::breakdown_us`], so measured breakdowns sit side-by-side
 //! with the co-simulator's predicted ones (see EXPERIMENTS.md).
 
-use crate::neighbor::RebuildReason;
+use crate::stream::RebuildReason;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;

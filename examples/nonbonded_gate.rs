@@ -23,9 +23,8 @@
 //!    the live check above covers them with a fresh measurement.
 
 use anton2::md::builders::water_box;
-use anton2::md::neighbor::NeighborList;
 use anton2::md::pairkernel::nonbonded_forces;
-use anton2::md::stream::{nonbonded_forces_streamed, NonbondedWorkspace};
+use anton2::md::stream::{nonbonded_forces_streamed, NonbondedStream, NonbondedWorkspace};
 use anton2::md::vec3::Vec3;
 use serde::Value;
 use std::time::Instant;
@@ -69,10 +68,10 @@ fn live_gate() {
     let mut forces = vec![Vec3::ZERO; s.n_atoms()];
 
     std::env::set_var("RAYON_NUM_THREADS", "1");
-    let nl = NeighborList::build(&s.pbc, &s.positions, s.nb.cutoff, s.nb.skin);
+    let pairs = NonbondedStream::build(&s).pairs();
     let reference_ms = time_ms(|| {
         forces.iter_mut().for_each(|f| *f = Vec3::ZERO);
-        std::hint::black_box(nonbonded_forces(&s, &nl, &mut forces));
+        std::hint::black_box(nonbonded_forces(&s, &pairs, &mut forces));
     });
 
     std::env::set_var("RAYON_NUM_THREADS", GATE_THREADS.to_string());

@@ -13,8 +13,9 @@
 //! There is no work stealing, so callers that need run-to-run determinism
 //! independent of the thread count must do what they already do with real
 //! rayon: decompose into a *fixed* number of chunks and reduce in chunk
-//! order (see `nonbonded_forces_parallel` in `anton2-md`). Splits here are
-//! contiguous and ordered, so `collect` always preserves item order.
+//! order (see `stream::nonbonded_forces_streamed` in `anton2-md`). Splits
+//! here are contiguous and ordered, so `collect` always preserves item
+//! order.
 
 use std::ops::Range;
 use std::sync::Arc;
