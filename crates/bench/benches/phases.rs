@@ -145,8 +145,8 @@ fn gse_kernel_speedups(sys: &System) -> (f64, f64) {
 fn sweep_one(side: usize) -> PhaseRecord {
     let sys = build_system(side);
     // Engine runs under the parallel thread setting: sizes past the Auto
-    // threshold exercise the plane-binned parallel spread, smaller ones the
-    // serial path — both bitwise identical by construction.
+    // threshold spread planes over threads, smaller ones walk the same
+    // planes in order — both bitwise identical by construction.
     set_threads(PARALLEL_THREADS);
     let timed = run_with(&sys, TelemetryLevel::Phases);
     let off = run_with(&sys, TelemetryLevel::Off);

@@ -11,7 +11,7 @@ use anton2_md::engine::{Engine, EngineConfig};
 use anton2_md::gse::GseParams;
 use anton2_md::integrate::RespaSchedule;
 use anton2_md::observables::DriftTracker;
-use anton2_md::System;
+use anton2_md::system::System;
 use anton2_net::{anton2_class_link, Coord, Network, Torus};
 use serde_json::json;
 

@@ -19,9 +19,9 @@ use anton2_md::fixedpoint::FixedAccumulator;
 use anton2_md::gse::{Gse, GseParams, GseWorkspace};
 use anton2_md::pairkernel::pair_interaction;
 use anton2_md::stream::NonbondedStream;
+use anton2_md::system::System;
 use anton2_md::units::COULOMB;
 use anton2_md::vec3::Vec3;
-use anton2_md::System;
 use anton2_net::Torus;
 
 /// Per-pair assignment by the **neutral-territory rule**: each pair is

@@ -5,8 +5,8 @@
 //! the property Anton's whole communication architecture is built around.
 
 use anton2_md::pbc::PbcBox;
+use anton2_md::system::System;
 use anton2_md::vec3::Vec3;
-use anton2_md::System;
 use anton2_net::{Coord, NodeId, Torus};
 
 /// The mapping between space and nodes.

@@ -14,8 +14,8 @@
 
 use crate::decomp::Decomposition;
 use crate::ntmethod::nt_node_for_pair;
+use anton2_md::system::System;
 use anton2_md::vec3::Vec3;
-use anton2_md::System;
 use anton2_net::{Coord, NodeId};
 
 /// An atom as the HTIS sees it: global id + position.

@@ -17,7 +17,7 @@ use crate::ntmethod::{
     import_atoms, import_offsets, BYTES_PER_FORCE_RETURN, BYTES_PER_IMPORT_ATOM,
 };
 use anton2_md::gse::GseParams;
-use anton2_md::System;
+use anton2_md::system::System;
 use anton2_net::{Coord, HealthMap, NodeId, Torus, DIM_ORDERS};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};

@@ -4,9 +4,9 @@
 use crate::config::MachineConfig;
 use crate::machine::{FaultPolicy, Machine, StepResult};
 use crate::plan::{ReplanError, ReplanSummary, StepPlan};
+use anton2_md::system::System;
 use anton2_md::telemetry::StepProfile;
 use anton2_md::units::us_per_day;
-use anton2_md::System;
 use anton2_net::{FaultPlan, RetryConfig};
 use serde::{Deserialize, Serialize};
 

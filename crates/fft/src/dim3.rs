@@ -76,37 +76,39 @@ impl Grid3 {
 /// transform allocation-free after construction, which the MD engine's
 /// steady-state step loop relies on.
 ///
-/// Both the serial and the parallel path draw on the same buffers, so one
-/// scratch serves either mode of the same grid shape.
+/// There is one line-pass transform, so one scratch serves both the serial
+/// and the parallel mode of the same grid shape.
 #[derive(Clone, Debug)]
 pub struct Fft3Scratch {
     nx: usize,
     ny: usize,
     nz: usize,
-    /// One gather row per x-slab (row length `max(nx, ny)` so the serial
-    /// path can also borrow it as a single x- or y-line buffer).
+    /// One y-line gather row per x-slab.
     rows: Vec<C64>,
-    /// Full-grid transpose buffer for the parallel x pass: x-lines laid out
-    /// contiguously so they can be transformed with `par_chunks_mut`.
+    /// Full-grid transpose buffer for the x pass: x-lines laid out
+    /// contiguously so each transforms in place.
     lines: Vec<C64>,
 }
 
 impl Fft3Scratch {
     /// Scratch sized for an `nx × ny × nz` grid.
     pub fn for_grid(nx: usize, ny: usize, nz: usize) -> Self {
-        let row = nx.max(ny);
         Fft3Scratch {
             nx,
             ny,
             nz,
-            rows: vec![C64::ZERO; nx * row],
+            rows: vec![C64::ZERO; nx * ny],
             lines: vec![C64::ZERO; nx * ny * nz],
         }
     }
+}
 
-    fn row_len(&self) -> usize {
-        self.nx.max(self.ny)
-    }
+/// Which 1D transform a line pass runs (the inverse unscaled; the 3D
+/// inverse applies `1/N` once at the end).
+#[derive(Clone, Copy)]
+enum Direction {
+    Forward,
+    Inverse,
 }
 
 /// A reusable plan for 3D transforms of one grid shape.
@@ -127,36 +129,26 @@ impl Fft3 {
         }
     }
 
-    /// Forward 3D DFT in place (no scaling). Allocates transient scratch;
-    /// use [`Fft3::forward_with`] on a hot path.
+    /// Forward 3D DFT in place (no scaling), serial. Allocates transient
+    /// scratch; use [`Fft3::forward_with`] on a hot path.
     pub fn forward(&self, g: &mut Grid3) {
-        let mut line = vec![C64::ZERO; g.nx.max(g.ny)];
-        self.check(g);
-        self.transform_serial(g, &mut line, false);
+        self.forward_with(g, &mut Fft3Scratch::for_grid(g.nx, g.ny, g.nz), false);
     }
 
-    /// Inverse 3D DFT in place, scaled by `1/(nx·ny·nz)`. Allocates
+    /// Inverse 3D DFT in place, scaled by `1/(nx·ny·nz)`, serial. Allocates
     /// transient scratch; use [`Fft3::inverse_with`] on a hot path.
     pub fn inverse(&self, g: &mut Grid3) {
-        let mut line = vec![C64::ZERO; g.nx.max(g.ny)];
-        self.check(g);
-        self.transform_serial(g, &mut line, true);
-        scale_inverse(&mut g.data, g.nx * g.ny * g.nz, false);
+        self.inverse_with(g, &mut Fft3Scratch::for_grid(g.nx, g.ny, g.nz), false);
     }
 
     /// Forward 3D DFT in place against caller-owned scratch. `parallel`
     /// fans the independent 1D line transforms of each dimension pass out
-    /// across threads; serial and parallel results are bitwise identical
-    /// because every line sees the same arithmetic either way.
+    /// across threads, and serial walks the same lines in order: every line
+    /// sees the same arithmetic, so the two are bitwise identical.
     pub fn forward_with(&self, g: &mut Grid3, scratch: &mut Fft3Scratch, parallel: bool) {
         self.check(g);
         check_scratch(g, scratch);
-        if parallel {
-            self.transform_parallel(g, scratch, false);
-        } else {
-            let row = scratch.row_len();
-            self.transform_serial(g, &mut scratch.rows[..row], false);
-        }
+        self.transform(g, scratch, Direction::Forward, parallel);
     }
 
     /// Inverse 3D DFT in place against caller-owned scratch, scaled by
@@ -165,13 +157,11 @@ impl Fft3 {
     pub fn inverse_with(&self, g: &mut Grid3, scratch: &mut Fft3Scratch, parallel: bool) {
         self.check(g);
         check_scratch(g, scratch);
-        if parallel {
-            self.transform_parallel(g, scratch, true);
-        } else {
-            let row = scratch.row_len();
-            self.transform_serial(g, &mut scratch.rows[..row], true);
-        }
-        scale_inverse(&mut g.data, g.nx * g.ny * g.nz, parallel);
+        self.transform(g, scratch, Direction::Inverse, parallel);
+        let s = 1.0 / g.len() as f64;
+        for_each_chunk(&mut g.data, g.nz, parallel, |_, line| {
+            line.iter_mut().for_each(|z| *z = z.scale(s));
+        });
     }
 
     fn check(&self, g: &Grid3) {
@@ -181,108 +171,74 @@ impl Fft3 {
     }
 
     #[inline]
-    fn run(&self, plan: &Fft, line: &mut [C64], inverse: bool) {
-        if inverse {
-            plan.inverse_unscaled(line);
-        } else {
-            plan.forward(line);
+    fn run(&self, plan: &Fft, line: &mut [C64], dir: Direction) {
+        // Type-qualified calls: anton2-lint's call graph then resolves them
+        // to `Fft` alone, not to every method named `forward`, which would
+        // pull the allocating `Fft3::forward` into the hot set.
+        match dir {
+            Direction::Forward => Fft::forward(plan, line),
+            Direction::Inverse => Fft::inverse_unscaled(plan, line),
         }
     }
 
-    fn transform_serial(&self, g: &mut Grid3, scratch: &mut [C64], inverse: bool) {
-        let (nx, ny, nz) = (g.nx, g.ny, g.nz);
-
-        // z lines are contiguous.
-        for line in g.data.chunks_exact_mut(nz) {
-            self.run(&self.fz, line, inverse);
-        }
-
-        // y lines: stride nz within an x-slab.
-        for ix in 0..nx {
-            for iz in 0..nz {
-                for iy in 0..ny {
-                    scratch[iy] = g.data[(ix * ny + iy) * nz + iz];
-                }
-                self.run(&self.fy, &mut scratch[..ny], inverse);
-                for iy in 0..ny {
-                    g.data[(ix * ny + iy) * nz + iz] = scratch[iy];
-                }
-            }
-        }
-
-        // x lines: stride ny*nz.
-        for iy in 0..ny {
-            for iz in 0..nz {
-                for ix in 0..nx {
-                    scratch[ix] = g.data[(ix * ny + iy) * nz + iz];
-                }
-                self.run(&self.fx, &mut scratch[..nx], inverse);
-                for ix in 0..nx {
-                    g.data[(ix * ny + iy) * nz + iz] = scratch[ix];
-                }
-            }
-        }
-    }
-
-    /// Parallel transform: every 1D line is independent, so each pass fans
-    /// lines out over threads against disjoint memory. The z pass splits the
-    /// grid into contiguous z-lines; the y pass hands each x-slab to one
-    /// task with its own gather row; the x pass (whose lines stride
-    /// `ny·nz`) transposes the lines into `scratch.lines`, transforms them
+    /// The 3D transform as three line passes. Every 1D line is independent,
+    /// so each pass walks its lines against disjoint memory — over threads
+    /// with `parallel`, in order on the caller's thread otherwise. The z
+    /// pass splits the grid into contiguous z-lines; the y pass hands each
+    /// x-slab its own gather row; the x pass (whose lines stride `ny·nz`)
+    /// transposes the lines into `scratch.lines`, transforms them
     /// contiguously, and scatters back by x-slab.
-    fn transform_parallel(&self, g: &mut Grid3, scratch: &mut Fft3Scratch, inverse: bool) {
+    fn transform(&self, g: &mut Grid3, scratch: &mut Fft3Scratch, dir: Direction, parallel: bool) {
         let (nx, ny, nz) = (g.nx, g.ny, g.nz);
         let slab = ny * nz;
-        let row = scratch.row_len();
 
         // z pass: contiguous disjoint lines.
-        g.data
-            .par_chunks_mut(nz)
-            .for_each(|line| self.run(&self.fz, line, inverse));
+        for_each_chunk(&mut g.data, nz, parallel, |_, line| {
+            self.run(&self.fz, line, dir)
+        });
 
         // y pass: one x-slab per task, each with its own gather row.
-        g.data
-            .par_chunks_mut(slab)
-            .zip(scratch.rows.par_chunks_mut(row))
-            .for_each(|(slab_data, line)| {
-                for iz in 0..nz {
-                    for iy in 0..ny {
-                        line[iy] = slab_data[iy * nz + iz];
-                    }
-                    self.run(&self.fy, &mut line[..ny], inverse);
-                    for iy in 0..ny {
-                        slab_data[iy * nz + iz] = line[iy];
-                    }
+        let y_slab = |(slab_data, line): (&mut [C64], &mut [C64])| {
+            for iz in 0..nz {
+                for iy in 0..ny {
+                    line[iy] = slab_data[iy * nz + iz];
                 }
-            });
+                self.run(&self.fy, line, dir);
+                for iy in 0..ny {
+                    slab_data[iy * nz + iz] = line[iy];
+                }
+            }
+        };
+        if parallel {
+            g.data
+                .par_chunks_mut(slab)
+                .zip(scratch.rows.par_chunks_mut(ny))
+                .for_each(y_slab);
+        } else {
+            g.data
+                .chunks_mut(slab)
+                .zip(scratch.rows.chunks_mut(ny))
+                .for_each(y_slab);
+        }
 
         // x pass, stage 1: gather every x-line into the transpose buffer
         // (line index li = iy·nz + iz; element ix lives at ix·slab + li)
         // and transform it where it now lies contiguously.
-        {
-            let data = &g.data;
-            scratch
-                .lines
-                .par_chunks_mut(nx)
-                .enumerate()
-                .for_each(|(li, line)| {
-                    for (ix, v) in line.iter_mut().enumerate() {
-                        *v = data[ix * slab + li];
-                    }
-                    self.run(&self.fx, line, inverse);
-                });
-        }
+        let data = &g.data;
+        for_each_chunk(&mut scratch.lines, nx, parallel, |li, line| {
+            for (ix, v) in line.iter_mut().enumerate() {
+                *v = data[ix * slab + li];
+            }
+            self.run(&self.fx, line, dir);
+        });
 
         // x pass, stage 2: scatter back, one x-slab per task.
         let lines = &scratch.lines;
-        g.data
-            .par_chunks_mut(slab)
-            .enumerate()
-            .for_each(|(ix, block)| {
-                for (li, out) in block.iter_mut().enumerate() {
-                    *out = lines[li * nx + ix];
-                }
-            });
+        for_each_chunk(&mut g.data, slab, parallel, |ix, block| {
+            for (li, out) in block.iter_mut().enumerate() {
+                *out = lines[li * nx + ix];
+            }
+        });
     }
 }
 
@@ -299,16 +255,20 @@ fn check_scratch(g: &Grid3, s: &Fft3Scratch) {
     );
 }
 
-/// Apply the `1/N` inverse-DFT normalization. Elementwise, so the parallel
-/// path is bitwise identical to the serial one.
-fn scale_inverse(data: &mut [C64], n: usize, parallel: bool) {
-    let s = 1.0 / n as f64;
+/// Run `f(i, chunk)` on every `size`-long chunk of `data`: fanned out over
+/// threads with `parallel`, in index order on the caller's thread
+/// otherwise. The chunks are disjoint, so the two modes write the same bits.
+fn for_each_chunk<T, F>(data: &mut [T], size: usize, parallel: bool, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync + Send,
+{
     if parallel {
-        data.par_iter_mut().for_each(|z| *z = z.scale(s));
+        data.par_chunks_mut(size)
+            .enumerate()
+            .for_each(|(i, c)| f(i, c));
     } else {
-        for z in data.iter_mut() {
-            *z = z.scale(s);
-        }
+        data.chunks_mut(size).enumerate().for_each(|(i, c)| f(i, c));
     }
 }
 

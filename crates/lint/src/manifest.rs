@@ -154,15 +154,6 @@ pub const ALLOC_EXEMPT: &[(&str, &str)] = &[
     // Machine-model task schedule construction (timing model, not the MD
     // data path).
     ("schedule.rs", "add"),
-    // Pencil-FFT solve allocates per-solve line/transpose scratch; buffer
-    // reuse across solves is an open ROADMAP item, and the allocation is
-    // per k-space solve (every `kspace_interval` steps), not per step.
-    ("dim3.rs", "forward"),
-    ("dim3.rs", "inverse"),
-    ("pencil.rs", "zeros"),
-    ("pencil.rs", "fft_lines"),
-    ("pencil.rs", "transpose"),
-    ("pencil.rs", "forward"),
     // Health-driven re-planning: fires once per fault-recovery cycle
     // boundary (never per step) and builds a fresh plan by design; the
     // whole construction path is exempt, exactly like the shard exchange

@@ -408,7 +408,9 @@ fn workspace_root() -> std::path::PathBuf {
 /// record/replay pipeline: `record`, `record_shard_rows`, `replay`,
 /// `replay_rows`, superseded by the per-row-mirror kernel; the classic
 /// neighbor list's `assemble_ext` and `filter_rows`, superseded by the
-/// stream, whose `filter_ext` is listed).
+/// stream, whose `filter_ext` is listed; the GSE spread's serial twin
+/// `spread_planes_serial` and its `spread_planes_parallel`, folded into the
+/// one plane walk `spread_planes`, which serial runs in plane order).
 const LEGACY_HOT_PATH: &[(&str, &str)] = &[
     ("pbc.rs", "min_image"),
     ("pbc.rs", "fold"),
@@ -430,8 +432,6 @@ const LEGACY_HOT_PATH: &[(&str, &str)] = &[
     ("pairkernel.rs", "scaled14_corrections"),
     ("gse.rs", "fill_tables"),
     ("gse.rs", "bin_planes"),
-    ("gse.rs", "spread_planes_serial"),
-    ("gse.rs", "spread_planes_parallel"),
     ("gse.rs", "spread_plane_item"),
     ("gse.rs", "spread_row_lanes"),
     ("gse.rs", "solve_potential_into"),

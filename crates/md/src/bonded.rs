@@ -204,7 +204,9 @@ pub fn improper_forces(
     energy
 }
 
-/// Evaluate every bonded term of a topology into `forces`.
+/// Evaluate every bonded term of a topology into `forces`: one unchunked
+/// pass over each term list, the oracle the engine's chunked pass
+/// ([`all_bonded_forces_parallel`]) is checked against.
 pub fn all_bonded_forces(
     topology: &crate::topology::Topology,
     pbc: &PbcBox,
@@ -233,9 +235,10 @@ pub const MAX_BONDED_CHUNKS: usize = 64;
 /// Parallel [`all_bonded_forces`]: each of the `buffers.len()` fixed chunks
 /// takes a contiguous slice of every term list, accumulates into its own
 /// whole-system force buffer, and the buffers are reduced per atom in chunk
-/// order. Energies likewise sum in chunk order. Results are deterministic
-/// for any thread count; they differ from the serial path only by
-/// floating-point regrouping (≲1e-12 relative).
+/// order. Energies likewise sum in chunk order. Results are bitwise the
+/// same for any thread count, and equal to the engine's serial pass over
+/// the same chunks; they differ from the unchunked [`all_bonded_forces`]
+/// only by floating-point regrouping (≲1e-12 relative).
 ///
 /// `buffers` (one per chunk, normally [`BONDED_CHUNKS`]) come from the
 /// caller so a steady-state step loop can reuse them without allocating.
@@ -246,6 +249,22 @@ pub fn all_bonded_forces_parallel(
     forces: &mut [Vec3],
     buffers: &mut [Vec<Vec3>],
 ) -> BondedEnergy {
+    all_bonded_forces_chunked(topology, pbc, positions, forces, buffers, true)
+}
+
+/// The engine's bonded pass over the `buffers.len()` fixed chunks of
+/// [`all_bonded_forces_parallel`]: chunks and the per-atom reduction run
+/// over threads with `parallel`, in order on the caller's thread
+/// otherwise. Every chunk and every atom's sum sees the same arithmetic
+/// either way, so the two modes are bitwise equal.
+pub(crate) fn all_bonded_forces_chunked(
+    topology: &crate::topology::Topology,
+    pbc: &PbcBox,
+    positions: &[Vec3],
+    forces: &mut [Vec3],
+    buffers: &mut [Vec<Vec3>],
+    parallel: bool,
+) -> BondedEnergy {
     use rayon::prelude::*;
 
     let n = positions.len();
@@ -255,67 +274,54 @@ pub fn all_bonded_forces_parallel(
         "at most {MAX_BONDED_CHUNKS} bonded chunks (got {})",
         buffers.len()
     );
-    let slice = |len: usize, c: usize| -> std::ops::Range<usize> {
-        let per = len.div_ceil(chunks).max(1);
-        let start = (c * per).min(len);
-        start..(start + per).min(len)
+    let chunk = |(c, (buf, slot)): (usize, (&mut Vec<Vec3>, &mut BondedEnergy))| {
+        buf.clear();
+        buf.resize(n, Vec3::ZERO);
+        *slot = BondedEnergy {
+            bond: bond_forces(share(&topology.bonds, c, chunks), pbc, positions, buf),
+            angle: angle_forces(share(&topology.angles, c, chunks), pbc, positions, buf),
+            dihedral: dihedral_forces(share(&topology.dihedrals, c, chunks), pbc, positions, buf),
+            urey_bradley: urey_bradley_forces(
+                share(&topology.urey_bradleys, c, chunks),
+                pbc,
+                positions,
+                buf,
+            ),
+            improper: improper_forces(share(&topology.impropers, c, chunks), pbc, positions, buf),
+        };
     };
 
-    // Per-chunk energy slots on the stack: the steady-state parallel path
-    // must not touch the allocator (zero-alloc rule).
+    // Per-chunk energy slots on the stack: the steady-state path must not
+    // touch the allocator (zero-alloc rule).
     let mut energies = [BondedEnergy::default(); MAX_BONDED_CHUNKS];
-    buffers
-        .par_iter_mut()
-        .zip(&mut energies[..])
-        .enumerate()
-        .for_each(|(c, (buf, slot))| {
-            buf.clear();
-            buf.resize(n, Vec3::ZERO);
-            *slot = BondedEnergy {
-                bond: bond_forces(
-                    &topology.bonds[slice(topology.bonds.len(), c)],
-                    pbc,
-                    positions,
-                    buf,
-                ),
-                angle: angle_forces(
-                    &topology.angles[slice(topology.angles.len(), c)],
-                    pbc,
-                    positions,
-                    buf,
-                ),
-                dihedral: dihedral_forces(
-                    &topology.dihedrals[slice(topology.dihedrals.len(), c)],
-                    pbc,
-                    positions,
-                    buf,
-                ),
-                urey_bradley: urey_bradley_forces(
-                    &topology.urey_bradleys[slice(topology.urey_bradleys.len(), c)],
-                    pbc,
-                    positions,
-                    buf,
-                ),
-                improper: improper_forces(
-                    &topology.impropers[slice(topology.impropers.len(), c)],
-                    pbc,
-                    positions,
-                    buf,
-                ),
-            };
-        });
+    if parallel {
+        buffers
+            .par_iter_mut()
+            .zip(&mut energies[..])
+            .enumerate()
+            .for_each(chunk);
+    } else {
+        buffers
+            .iter_mut()
+            .zip(&mut energies[..])
+            .enumerate()
+            .for_each(chunk);
+    }
 
     // Ordered per-atom reduction: every atom sums its chunk contributions
     // in chunk order, independent of how threads were scheduled.
-    {
-        let buffers = &*buffers;
-        forces.par_iter_mut().enumerate().for_each(|(i, f)| {
-            let mut acc = Vec3::ZERO;
-            for buf in buffers {
-                acc += buf[i];
-            }
-            *f += acc;
-        });
+    let buffers = &*buffers;
+    let reduce = |(i, f): (usize, &mut Vec3)| {
+        let mut acc = Vec3::ZERO;
+        for buf in buffers {
+            acc += buf[i];
+        }
+        *f += acc;
+    };
+    if parallel {
+        forces.par_iter_mut().enumerate().for_each(reduce);
+    } else {
+        forces.iter_mut().enumerate().for_each(reduce);
     }
 
     let mut total = BondedEnergy::default();
@@ -327,6 +333,13 @@ pub fn all_bonded_forces_parallel(
         total.improper += e.improper;
     }
     total
+}
+
+/// Chunk `c`'s contiguous share of a term list split into `chunks` parts.
+fn share<T>(terms: &[T], c: usize, chunks: usize) -> &[T] {
+    let per = terms.len().div_ceil(chunks).max(1);
+    let start = (c * per).min(terms.len());
+    &terms[start..(start + per).min(terms.len())]
 }
 
 #[cfg(test)]
@@ -711,37 +724,46 @@ mod tests {
         }
     }
 
-    /// The chunked parallel evaluation regroups floating-point sums but must
-    /// stay within summation noise of the serial path, and reusing the
-    /// buffers must not change anything.
+    /// The chunked pass regroups floating-point sums, so it stays within
+    /// summation noise of the unchunked oracle; its serial and parallel
+    /// modes are bitwise equal, and reusing the buffers changes nothing.
     #[test]
-    fn parallel_matches_serial_within_summation_noise() {
+    fn chunked_pass_matches_oracle_and_is_bitwise_in_both_modes() {
         let s = crate::builders::solvated_protein(60, 40, 7);
-        let mut f_serial = vec![Vec3::ZERO; s.n_atoms()];
-        let e_serial = all_bonded_forces(&s.topology, &s.pbc, &s.positions, &mut f_serial);
+        let mut f_oracle = vec![Vec3::ZERO; s.n_atoms()];
+        let e_oracle = all_bonded_forces(&s.topology, &s.pbc, &s.positions, &mut f_oracle);
 
         let mut buffers: Vec<Vec<Vec3>> = (0..BONDED_CHUNKS).map(|_| Vec::new()).collect();
-        for round in 0..2 {
-            let mut f_par = vec![Vec3::ZERO; s.n_atoms()];
-            let e_par = all_bonded_forces_parallel(
+        let mut runs = Vec::new();
+        for parallel in [false, true, false, true] {
+            let mut f = vec![Vec3::ZERO; s.n_atoms()];
+            let e = all_bonded_forces_chunked(
                 &s.topology,
                 &s.pbc,
                 &s.positions,
-                &mut f_par,
+                &mut f,
                 &mut buffers,
+                parallel,
             );
             assert!(
-                (e_par.total() - e_serial.total()).abs() < 1e-10 * e_serial.total().abs().max(1.0),
-                "round {round}: {} vs {}",
-                e_par.total(),
-                e_serial.total()
+                (e.total() - e_oracle.total()).abs() < 1e-10 * e_oracle.total().abs().max(1.0),
+                "parallel={parallel}: {} vs {}",
+                e.total(),
+                e_oracle.total()
             );
-            for (i, (a, b)) in f_par.iter().zip(&f_serial).enumerate() {
+            for (i, (a, b)) in f.iter().zip(&f_oracle).enumerate() {
                 assert!(
                     (*a - *b).norm() < 1e-10 * (1.0 + b.norm()),
-                    "round {round} atom {i}: {a:?} vs {b:?}"
+                    "parallel={parallel} atom {i}: {a:?} vs {b:?}"
                 );
             }
+            let bits: Vec<u64> = f
+                .iter()
+                .flat_map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()])
+                .chain([e.total().to_bits()])
+                .collect();
+            runs.push(bits);
         }
+        assert!(runs.iter().all(|r| *r == runs[0]), "modes or rounds differ");
     }
 }

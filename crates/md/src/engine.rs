@@ -7,7 +7,7 @@
 //! distributed over simulated nodes; this engine is its correctness
 //! reference (experiment F7 in DESIGN.md).
 
-use crate::bonded::{all_bonded_forces, all_bonded_forces_parallel, BONDED_CHUNKS};
+use crate::bonded::{all_bonded_forces_chunked, BONDED_CHUNKS};
 use crate::constraints::ConstraintSet;
 use crate::ewald::{background_energy, self_energy, EwaldKSpace};
 use crate::forcefield::PairTable;
@@ -45,24 +45,25 @@ pub enum KspaceMethod {
     None,
 }
 
-/// Threading policy for the force pipeline.
+/// Threading policy for the force pipeline: it picks threads, never
+/// results.
 ///
-/// Every parallel kernel in the engine decomposes into a *fixed* number of
-/// chunks (or into grid planes / FFT lines) and reduces in chunk order, so
-/// results never depend on `RAYON_NUM_THREADS`. The k-space pipeline is
-/// additionally bitwise identical between the serial and parallel paths;
-/// the pair and bonded kernels differ from serial only by floating-point
-/// regrouping (≲1e-12 relative). See "Threading and determinism model" in
+/// Every kernel in the engine decomposes into a *fixed* number of chunks
+/// (or into grid planes / FFT lines) and reduces in chunk order. `Serial`
+/// runs that same decomposition in order on the caller's thread, so forces
+/// and energies are bitwise identical across `Serial`, `Parallel` and any
+/// `RAYON_NUM_THREADS`. See "Threading and determinism model" in
 /// DESIGN.md.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Parallelism {
-    /// Parallel kernels once the system is large enough to amortize the
-    /// fork/join overhead (currently ≥ 4096 atoms), serial below.
+    /// Threads once the system is large enough to amortize the fork/join
+    /// overhead (currently ≥ 4096 atoms), the caller's thread below.
     #[default]
     Auto,
-    /// Always single-threaded (reference results, profiling baselines).
+    /// Force kernels on the caller's thread (profiling baselines, the
+    /// zero-alloc checks).
     Serial,
-    /// Parallel kernels regardless of system size.
+    /// Force kernels over threads regardless of system size.
     Parallel,
 }
 
@@ -739,7 +740,7 @@ impl Engine {
         pressure_atm(self.system.kinetic_energy(), w, self.system.pbc.volume())
     }
 
-    /// Whether the force kernels should run their parallel paths.
+    /// Whether the force kernels fan their fixed chunks out over threads.
     fn parallel_enabled(&self) -> bool {
         match self.cfg.parallelism {
             Parallelism::Serial => false,
@@ -754,7 +755,7 @@ impl Engine {
         self.f_short.iter_mut().for_each(|f| *f = Vec3::ZERO);
         // Streaming kernel: the workspace tracks the skin/2 drift criterion
         // and the box, rebuilding its cell-sorted stream + baked list only
-        // when needed. The parallel path uses fixed chunking (not
+        // when needed. Both modes run the same fixed chunks (not
         // thread-count-dependent), so results are bitwise reproducible.
         // The decomposed engine runs the same pass, each row reading its
         // owning shard's mirror after the halo exchange.
@@ -778,22 +779,14 @@ impl Engine {
         self.ledger.lj14 = lj14;
         self.ledger.coulomb14 = coul14;
         let t0 = self.ws.tel.start();
-        let be = if parallel {
-            all_bonded_forces_parallel(
-                &self.system.topology,
-                &self.system.pbc,
-                &self.system.positions,
-                &mut self.f_short,
-                &mut self.ws.bonded,
-            )
-        } else {
-            all_bonded_forces(
-                &self.system.topology,
-                &self.system.pbc,
-                &self.system.positions,
-                &mut self.f_short,
-            )
-        };
+        let be = all_bonded_forces_chunked(
+            &self.system.topology,
+            &self.system.pbc,
+            &self.system.positions,
+            &mut self.f_short,
+            &mut self.ws.bonded,
+            parallel,
+        );
         self.ws.tel.stop(Phase::Bonded, t0);
         self.ledger.bond = be.bond;
         self.ledger.angle = be.angle;

@@ -17,11 +17,12 @@
 //! charged atom, three 1D weight arrays plus wrapped grid-index tables —
 //! `O(3R)` transcendental calls — and the `O(R³)` stencil core degenerates
 //! to a pure multiply-accumulate over the tables, batched into
-//! [`crate::pairkernel::LANES`]-wide lanes. Spreading parallelism comes
-//! from a deterministic counting-sort binning of stencil columns by
-//! destination x-plane: each plane task replays exactly the serial
-//! accumulation order, so the parallel grid is **bitwise identical** to the
-//! serial one at any thread count. The pre-rework fused kernels (one
+//! [`crate::pairkernel::LANES`]-wide lanes. Spreading is decomposed by a
+//! deterministic counting-sort binning of stencil columns by destination
+//! x-plane: each plane accumulates its columns in `(atom, dx)` order, the
+//! planes are disjoint, and serial walks the same planes in order on one
+//! thread, so the grid is **bitwise identical** in both modes at any
+//! thread count. The pre-rework fused kernels (one
 //! `exp` + `rem_euclid` per grid point, spherical support) are kept as
 //! `*_reference` oracles for accuracy gates and before/after benchmarks.
 //!
@@ -39,10 +40,10 @@ use rayon::prelude::*;
 use rayon::{ParallelSlice, ParallelSliceMut};
 use std::f64::consts::PI;
 
-/// Fixed chunk count for the parallel force interpolation. Independent of
-/// the thread count so results never depend on `RAYON_NUM_THREADS`, and the
-/// ordered chunk reduction makes the parallel path bitwise identical to the
-/// serial one.
+/// Fixed chunk count for the force interpolation, serial and parallel
+/// alike. Independent of the thread count, and the ordered chunk reduction
+/// visits slots in atom order, so results never depend on
+/// `RAYON_NUM_THREADS`.
 const INTERP_CHUNKS: usize = 64;
 
 /// Geometry and accuracy parameters for a GSE evaluation.
@@ -181,21 +182,23 @@ impl Gse {
     /// own [`StencilTables`]; the engine's allocation-free hot path goes
     /// through [`Gse::energy_forces_with`].
     pub fn spread_into(&self, positions: &[Vec3], charges: &[f64], rho: &mut Grid3) {
-        let mut tables = StencilTables::new();
-        self.fill_tables(positions, charges, &mut tables);
-        self.spread_planes_serial(&tables, rho);
+        self.spread_fresh(positions, charges, rho, false);
     }
 
-    /// Spread charges into the grid with the x-planes fanned out over
-    /// threads. Stencil columns are binned by destination plane with a
-    /// stable counting sort, so each plane task visits exactly its own
-    /// contributions in serial `(atom, dx)` order: the result is bitwise
-    /// identical to [`Gse::spread_into`] for any thread count.
+    /// [`Gse::spread_into`] with the x-planes fanned out over threads. Each
+    /// plane visits exactly its own contributions in `(atom, dx)` order,
+    /// so the result is bitwise identical to [`Gse::spread_into`] for any
+    /// thread count.
     pub fn spread_into_parallel(&self, positions: &[Vec3], charges: &[f64], rho: &mut Grid3) {
+        self.spread_fresh(positions, charges, rho, true);
+    }
+
+    /// Spread through freshly built, plane-binned [`StencilTables`].
+    fn spread_fresh(&self, positions: &[Vec3], charges: &[f64], rho: &mut Grid3, parallel: bool) {
         let mut tables = StencilTables::new();
         self.fill_tables(positions, charges, &mut tables);
         self.bin_planes(&mut tables);
-        self.spread_planes_parallel(&tables, rho);
+        self.spread_planes(&tables, rho, parallel);
     }
 
     /// Fill the separable stencil tables for one configuration: the charged
@@ -256,9 +259,8 @@ impl Gse {
 
     /// Bin stencil columns (one per `(charged atom, dx)` pair) by their
     /// destination x-plane with a stable counting sort: each plane's item
-    /// list comes out sorted by `(atom slot, dx)`, exactly the order the
-    /// serial spread visits that plane, so replaying a plane's items
-    /// reproduces the serial accumulation bitwise. Handles sub-support
+    /// list comes out sorted by `(atom slot, dx)`, a fixed order that does
+    /// not depend on which thread walks the plane. Handles sub-support
     /// boxes (grid narrower than the stencil) naturally — an atom then
     /// contributes several `dx` columns to the same plane, kept in
     /// ascending `dx` order.
@@ -289,43 +291,28 @@ impl Gse {
         }
     }
 
-    /// Serial separable spread: every stencil column in `(atom, dx)` order.
-    /// Shares [`Gse::spread_plane_item`] with the plane-parallel path so
-    /// both produce identical floating-point sums per grid cell.
-    fn spread_planes_serial(&self, t: &StencilTables, rho: &mut Grid3) {
-        let wxl = self.ctx.widths[0];
+    /// Separable spread over the binned tables: each x-plane walks only its
+    /// own `(atom, dx)` items — `O(items)` total traversal — over threads
+    /// with `parallel`, in plane order on the caller's thread otherwise.
+    /// The planes are disjoint, so the grid is bitwise identical in both
+    /// modes at any thread count.
+    fn spread_planes(&self, t: &StencilTables, rho: &mut Grid3, parallel: bool) {
         let nynz = self.params.ny * self.params.nz;
-        for s in 0..t.n {
-            for k in 0..wxl {
-                let px = t.gx[s * wxl + k] as usize;
-                let plane = &mut rho.data[px * nynz..(px + 1) * nynz];
-                self.spread_plane_item(t, s, k, plane);
+        let plane_items = |(px, plane): (usize, &mut [C64])| {
+            let lo = t.plane_start[px] as usize;
+            let hi = t.plane_start[px + 1] as usize;
+            for i in lo..hi {
+                self.spread_plane_item(t, t.item_slot[i] as usize, t.item_dx[i] as usize, plane);
             }
+        };
+        if parallel {
+            rho.data
+                .par_chunks_mut(nynz)
+                .enumerate()
+                .for_each(plane_items);
+        } else {
+            rho.data.chunks_mut(nynz).enumerate().for_each(plane_items);
         }
-    }
-
-    /// Plane-parallel separable spread over the binned tables: each x-plane
-    /// task walks only its own `(atom, dx)` items — `O(items)` total
-    /// traversal instead of the old `O(planes × atoms)` membership scan —
-    /// in the serial accumulation order, so the grid is bitwise identical
-    /// to [`Gse::spread_planes_serial`] at any thread count.
-    fn spread_planes_parallel(&self, t: &StencilTables, rho: &mut Grid3) {
-        let nynz = self.params.ny * self.params.nz;
-        rho.data
-            .par_chunks_mut(nynz)
-            .enumerate()
-            .for_each(|(px, plane)| {
-                let lo = t.plane_start[px] as usize;
-                let hi = t.plane_start[px + 1] as usize;
-                for i in lo..hi {
-                    self.spread_plane_item(
-                        t,
-                        t.item_slot[i] as usize,
-                        t.item_dx[i] as usize,
-                        plane,
-                    );
-                }
-            });
     }
 
     /// Accumulate one stencil column — one `(charged atom, dx)` pair — into
@@ -392,8 +379,8 @@ impl Gse {
 
     /// Reciprocal-space energy and forces via the grid. Equivalent to
     /// [`crate::ewald::EwaldKSpace::energy_forces`] up to spreading
-    /// accuracy. Allocates a throwaway workspace, so the result is bitwise
-    /// identical to [`Gse::energy_forces_with`] on the serial path.
+    /// accuracy. Allocates a throwaway workspace; the result is bitwise
+    /// identical to [`Gse::energy_forces_with`] in either mode.
     pub fn energy_forces(&self, positions: &[Vec3], charges: &[f64], forces: &mut [Vec3]) -> f64 {
         let mut ws = GseWorkspace::for_gse(self);
         self.energy_forces_with(positions, charges, forces, &mut ws, false)
@@ -402,9 +389,10 @@ impl Gse {
     /// Allocation-free [`Gse::energy_forces`] against a reusable workspace:
     /// after the first call nothing in the k-space pipeline allocates. With
     /// `parallel` the spread, both FFTs, the influence multiply, and the
-    /// force interpolation fan out over threads; every stage reduces in a
-    /// fixed order, so the result is bitwise identical to the serial path
-    /// for any thread count.
+    /// force interpolation fan out over threads; serial runs the same
+    /// planes, lines and chunks in order, and every stage reduces in a
+    /// fixed order, so the result is bitwise identical in both modes for
+    /// any thread count.
     pub fn energy_forces_with(
         &self,
         positions: &[Vec3],
@@ -445,18 +433,12 @@ impl Gse {
         let t0 = tel.start();
         ws.rho.clear();
         self.fill_tables(positions, charges, &mut ws.tables);
-        if parallel {
-            self.bin_planes(&mut ws.tables);
-            self.spread_planes_parallel(&ws.tables, &mut ws.rho);
-        } else {
-            self.spread_planes_serial(&ws.tables, &mut ws.rho);
-        }
+        self.bin_planes(&mut ws.tables);
+        self.spread_planes(&ws.tables, &mut ws.rho, parallel);
         let c = &self.ctx;
         let stencil = (c.widths[0] * c.widths[1] * c.widths[2]) as u64;
         let nq = ws.tables.n as u64;
-        // Bins visited = one per (charged atom, dx) stencil column; the
-        // same count whether the serial path or the plane-binned parallel
-        // path walked them, so the counter stays serial ≡ parallel.
+        // Bins visited = one per (charged atom, dx) stencil column.
         tel.count_gse_spread(nq * stencil, nq * c.widths[0] as u64);
         tel.stop(Phase::GseSpread, t0);
 
@@ -470,14 +452,7 @@ impl Gse {
         tel.stop(Phase::Fft, t0);
 
         let t0 = tel.start();
-        let n_bufs = if parallel { ws.added.len() } else { 1 };
-        self.interpolate_tables_chunked(
-            &ws.phi,
-            &ws.tables,
-            forces,
-            &mut ws.added[..n_bufs],
-            parallel,
-        );
+        self.interpolate_tables_chunked(&ws.phi, &ws.tables, forces, &mut ws.added, parallel);
         tel.count_gse_interp(nq * stencil);
         tel.stop(Phase::Interpolate, t0);
         energy
@@ -552,11 +527,12 @@ impl Gse {
     }
 
     /// Interpolation driver: charged slots split into `buffers.len()` fixed
-    /// chunks (embarrassingly parallel), then the net-force accounting and
-    /// the momentum correction run serially over the chunks in order. Chunk
-    /// boundaries depend only on `buffers.len()`, and the ordered reduction
-    /// visits slots in atom-index order, so the parallel result is bitwise
-    /// identical to the serial one.
+    /// chunks (over threads with `parallel`, in order otherwise), then the
+    /// net-force accounting and the momentum correction run on the caller's
+    /// thread over the chunks in order. Each slot's force is independent of
+    /// its chunk, and the ordered reduction visits slots in atom-index
+    /// order, so the result is bitwise the same for any chunk count, mode
+    /// and thread count.
     fn interpolate_tables_chunked(
         &self,
         phi: &Grid3,
@@ -750,7 +726,7 @@ impl Gse {
 
 /// Accumulate one z-row of a stencil column: `row[gz[k]] += scale · wz[k]`,
 /// batched into [`LANES`]-wide product lanes with a scalar tail. The
-/// scatter applies lanes in ascending `k`, preserving the serial
+/// scatter applies lanes in ascending `k`, preserving the scalar
 /// accumulation order (wrapped indices may repeat on sub-support grids).
 #[inline]
 fn spread_row_lanes(row: &mut [C64], gz: &[u32], wz: &[f64], scale: f64) {
@@ -775,8 +751,8 @@ fn spread_row_lanes(row: &mut [C64], gz: &[u32], wz: &[f64], scale: f64) {
 /// Gather one z-row of an interpolation stencil: returns
 /// `(Σ wz·φ, Σ rz·wz·φ)` accumulated in [`LANES`] independent lanes that
 /// are reduced in fixed lane order, then a scalar tail. The expression
-/// tree depends only on the row length, so serial and parallel callers get
-/// identical bits.
+/// tree depends only on the row length, so every caller gets identical
+/// bits.
 #[inline]
 fn interp_row_lanes(row: &[C64], gz: &[u32], wz: &[f64], rz: &[f64]) -> (f64, f64) {
     let n = wz.len();
@@ -1118,25 +1094,56 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    #[test]
-    fn parallel_spread_matches_serial_bitwise() {
-        let (pbc, positions, charges) = charge_cloud(300, 20.0, 7);
-        let gse = Gse::new(0.5, pbc, GseParams::for_box(0.5, &pbc));
-        let serial = gse.spread(&positions, &charges);
+    /// Test oracle for the plane binning: every stencil column in global
+    /// `(atom, dx)` order, no bins.
+    fn spread_unbinned(gse: &Gse, positions: &[Vec3], charges: &[f64]) -> Grid3 {
+        let mut t = StencilTables::new();
+        gse.fill_tables(positions, charges, &mut t);
+        let mut rho = Grid3::zeros(gse.params.nx, gse.params.ny, gse.params.nz);
+        let wxl = gse.ctx.widths[0];
+        let nynz = gse.params.ny * gse.params.nz;
+        for s in 0..t.n {
+            for k in 0..wxl {
+                let px = t.gx[s * wxl + k] as usize;
+                gse.spread_plane_item(&t, s, k, &mut rho.data[px * nynz..(px + 1) * nynz]);
+            }
+        }
+        rho
+    }
+
+    /// The binned spread, serial and parallel, must replay the unbinned
+    /// `(atom, dx)` accumulation bit for bit.
+    fn assert_binned_spread_bitwise(gse: &Gse, positions: &[Vec3], charges: &[f64]) {
+        let oracle = spread_unbinned(gse, positions, charges);
+        let serial = gse.spread(positions, charges);
         let mut par = Grid3::zeros(gse.params.nx, gse.params.ny, gse.params.nz);
-        gse.spread_into_parallel(&positions, &charges, &mut par);
-        for (a, b) in serial.data.iter().zip(&par.data) {
-            assert_eq!(a.re.to_bits(), b.re.to_bits());
-            assert_eq!(a.im.to_bits(), b.im.to_bits());
+        gse.spread_into_parallel(positions, charges, &mut par);
+        for grid in [&serial, &par] {
+            for (a, b) in grid.data.iter().zip(&oracle.data) {
+                assert_eq!(a.re.to_bits(), b.re.to_bits());
+                assert_eq!(a.im.to_bits(), b.im.to_bits());
+            }
+        }
+    }
+
+    /// Clouds from sub-support (4.5 Å) to normal boxes, with atoms pinned
+    /// to the periodic seam.
+    #[test]
+    fn binned_spread_matches_unbinned_bitwise() {
+        for (n, l, seed) in [(300, 20.0, 7), (40, 4.5, 3), (80, 9.0, 5), (120, 13.0, 9)] {
+            let (pbc, mut positions, charges) = charge_cloud(n, l, seed);
+            positions[0] = Vec3::new(l, 0.5 * l, 1e-9);
+            positions[1] = Vec3::new(0.5 * l, l - 1e-9, 0.0);
+            let gse = Gse::new(0.5, pbc, GseParams::for_box(0.5, &pbc));
+            assert_binned_spread_bitwise(&gse, &positions, &charges);
         }
     }
 
     /// Sub-support box: the grid is narrower than the stencil, so single
     /// atoms wrap onto the same plane (and the same cells) several times.
-    /// The binned parallel scatter must replay exactly the serial multi-hit
-    /// order.
+    /// The binned scatter must replay exactly the unbinned multi-hit order.
     #[test]
-    fn sub_support_box_parallel_matches_serial_bitwise() {
+    fn sub_support_box_binned_spread_matches_unbinned_bitwise() {
         let (pbc, positions, charges) = charge_cloud(60, 5.0, 11);
         let gse = Gse::new(0.5, pbc, GseParams::for_box(0.5, &pbc));
         let c = &gse.ctx;
@@ -1146,12 +1153,7 @@ mod tests {
             c.widths[0],
             gse.params.nx
         );
-        let serial = gse.spread(&positions, &charges);
-        let mut par = Grid3::zeros(gse.params.nx, gse.params.ny, gse.params.nz);
-        gse.spread_into_parallel(&positions, &charges, &mut par);
-        for (a, b) in serial.data.iter().zip(&par.data) {
-            assert_eq!(a.re.to_bits(), b.re.to_bits());
-        }
+        assert_binned_spread_bitwise(&gse, &positions, &charges);
     }
 
     #[test]
@@ -1165,8 +1167,8 @@ mod tests {
         for parallel in [false, true] {
             let mut f = vec![Vec3::ZERO; positions.len()];
             let e = gse.energy_forces_with(&positions, &charges, &mut f, &mut ws, parallel);
-            // Serial-with-workspace and parallel must both agree with the
-            // plain path to the last bit of the forces.
+            // Both modes must agree with the plain path to the last bit of
+            // the forces.
             assert_eq!(e.to_bits(), e_ref.to_bits(), "parallel={parallel}");
             for (i, (a, b)) in f.iter().zip(&f_ref).enumerate() {
                 assert!(

@@ -91,15 +91,3 @@ pub mod prelude {
     };
     pub use crate::vec3::{v3, Vec3};
 }
-
-// Legacy root re-exports, kept so existing call sites compile unchanged.
-// Deprecated in favor of [`prelude`], which carries the complete session
-// surface (builder, summary, checkpoint, decomposition, telemetry types);
-// new code should `use anton2_md::prelude::*`.
-pub use engine::{Engine, EngineBuilder, EngineError, RunSummary};
-pub use forcefield::{ForceField, NonbondedSettings};
-pub use pbc::PbcBox;
-pub use system::System;
-pub use telemetry::{StepProfile, Telemetry, TelemetryLevel};
-pub use topology::Topology;
-pub use vec3::{v3, Vec3};

@@ -24,8 +24,8 @@
 //!
 //! **Shards are a view over the one streamed kernel.** The decomposed
 //! engine runs the single-image kernel (`stream::stream_rows`) — the same
-//! serial pass or the same fixed [`crate::pairkernel::NB_CHUNKS`] chunk
-//! merge, in the same order — except that each row reads its own and its
+//! fixed [`crate::pairkernel::NB_CHUNKS`] chunk merge, in the same order —
+//! except that each row reads its own and its
 //! partners' atom data from the mirror of the shard that owns it. Inside a
 //! shard's region the mirror holds exactly the stream's bits, so every
 //! pair sees the same inputs and every accumulator the same additions in

@@ -28,17 +28,18 @@
 //! when the margin is exhausted (or the box changes) does a full rebuild
 //! run.
 //!
-//! [`nonbonded_forces_streamed`] evaluates the stream either serially or
-//! with the fixed-chunk deterministic reduction contract from DESIGN.md §9.
-//! The inner loop is batched [`LANES`] pairs wide with explicit lane arrays
-//! (compress in-cutoff pairs → compute → accumulate) over the table-driven
-//! [`crate::erfc::erfc_exp_fast8`] spline. The parallel path writes into
-//! chunk-local buffers sized `rows + imports` (not full-length, so force
-//! traffic is O(pairs), not O(chunks × atoms)) and is bitwise independent
-//! of the rayon thread count; both paths match the reference
-//! `pairkernel::nonbonded_forces` to ≤1e-12 (the accumulation order
-//! differs, so bitwise equality is not expected). All buffers live in
-//! [`NonbondedWorkspace`], so steady-state evaluation performs no heap
+//! [`nonbonded_forces_streamed`] evaluates the stream in [`NB_CHUNKS`] fixed
+//! row chunks reduced in chunk order (DESIGN.md §9), over threads or in
+//! order on the caller's thread, so the result is bitwise the same in both
+//! modes and at any rayon thread count. The inner loop is batched
+//! [`LANES`] pairs wide with explicit lane arrays (compress in-cutoff
+//! pairs → compute → accumulate) over the table-driven
+//! [`crate::erfc::erfc_exp_fast8`] spline. Each chunk writes into a
+//! chunk-local buffer sized `rows + imports` (not full-length, so force
+//! traffic is O(pairs), not O(chunks × atoms)). The result matches the
+//! reference `pairkernel::nonbonded_forces` to ≤1e-12 (the accumulation
+//! order differs, so bitwise equality is not expected). All buffers live
+//! in [`NonbondedWorkspace`], so steady-state evaluation performs no heap
 //! allocation. The decomposed engine (`crate::shard`) runs this same
 //! kernel pass, each row reading its owning shard's local mirror.
 
@@ -536,12 +537,12 @@ impl NonbondedStream {
         self.partners.truncate(w);
     }
 
-    /// Build the chunk-local scatter plans for the parallel path: for each
+    /// Build the chunk-local scatter plans of the kernel pass: for each
     /// fixed row chunk `[lo, hi)`, partners inside the chunk map to slot
     /// `t − lo`; partners beyond it are deduplicated (generation-stamped
     /// scratch, no clearing) into an import table and map to
     /// `(hi − lo) + import index`. Serial and deterministic, so the plans —
-    /// and hence the parallel reduction — are independent of thread count.
+    /// and hence the chunk reduction — are independent of thread count.
     fn build_plans(&mut self) {
         let ns = self.atoms.pos.len();
         self.partners_local.resize(self.partners.len(), 0);
@@ -665,15 +666,14 @@ impl<'a> RowSource<'a> {
     }
 }
 
-/// Evaluate one chunk of sorted rows, accumulating into `local`. Each row
-/// reads its atom data from `source`; the pair list is the stream's. Rows
-/// accumulate at `s − lo`; partner slots come from `slots` (parallel to
-/// the working partner array): the full sorted index for the serial
-/// full-length buffer, or the chunk-local plan for the parallel path.
-/// Returns the energies plus the number of candidate pairs rejected by the
-/// cutoff test (an exact integer, so chunk sums are independent of
-/// evaluation order). Unless `row_pairs` is empty, row `s`'s in-cutoff
-/// pair count lands in `row_pairs[s − lo]`.
+/// Evaluate one fixed chunk `[lo, hi)` of sorted rows, accumulating into
+/// its chunk-local buffer `local`. Each row reads its atom data from
+/// `source`; the pair list is the stream's. Rows accumulate at `s − lo`,
+/// partners at their planned slot in `partners_local`. Returns the
+/// energies plus the number of candidate pairs rejected by the cutoff test
+/// (an exact integer, so chunk sums are independent of evaluation order).
+/// Unless `row_pairs` is empty, row `s`'s in-cutoff pair count lands in
+/// `row_pairs[s − lo]`.
 ///
 /// The pair loop is batched [`LANES`] wide: compress in-cutoff pairs into
 /// lane arrays in partner order (pairs in the skin shell beyond the cutoff
@@ -690,7 +690,6 @@ fn stream_rows(
     alpha: f64,
     lo: usize,
     hi: usize,
-    slots: &[u32],
     local: &mut [Vec3],
     row_pairs: &mut [u32],
 ) -> (NonbondedEnergy, u64) {
@@ -742,7 +741,7 @@ fn stream_rows(
                     lj_b[k] = e.b;
                     lj_shift[k] = e.shift;
                     qq[k] = qs * charge[t];
-                    slot[k] = slots[base] as usize;
+                    slot[k] = stream.partners_local[base] as usize;
                     k += 1;
                 } else {
                     cut += 1;
@@ -795,10 +794,11 @@ fn stream_rows(
 /// atom order, accumulating into `forces`.
 ///
 /// `table` must be baked from `system`'s force field at `system.nb.cutoff`
-/// (see [`System::pair_table`]). With `parallel` the rows are split into
-/// [`NB_CHUNKS`] fixed chunks reduced in chunk order — bitwise independent
-/// of the rayon thread count. Serial evaluation performs no heap
-/// allocation once the stream is built.
+/// (see [`System::pair_table`]). The rows are split into [`NB_CHUNKS`]
+/// fixed chunks reduced in chunk order; `parallel` only picks whether the
+/// chunks run over threads or in order on the caller's thread, so the
+/// result is bitwise the same either way and at any rayon thread count.
+/// Serial evaluation performs no heap allocation once the stream is built.
 pub fn nonbonded_forces_streamed(
     system: &System,
     table: &PairTable,
@@ -829,9 +829,9 @@ pub fn nonbonded_forces_streamed_profiled(
 /// The one short-range pass behind both engines. Refreshes the stream;
 /// with `shards`, re-plans them on a fresh build, runs the halo exchange,
 /// and lets every row read its owning shard's mirror. The kernel pass —
-/// serial, or the fixed [`NB_CHUNKS`] chunk merge — is the same in both
-/// cases, so forces, energies and the global counters are bitwise the
-/// single image's at any shard count. Each shard is then credited with
+/// the fixed [`NB_CHUNKS`] chunk merge — is the same in both cases, so
+/// forces, energies and the global counters are bitwise the single
+/// image's at any shard count. Each shard is then credited with
 /// the pairs of the rows it owns.
 pub(crate) fn streamed_forces(
     system: &System,
@@ -868,82 +868,61 @@ pub(crate) fn streamed_forces(
     let candidates = stream.partners.len() as u64;
     let alpha = system.nb.ewald_alpha;
 
-    let (total, cut) = if parallel {
-        let bufs = &mut ws.chunks[..NB_CHUNKS];
-        // Per-chunk energy slots and row-count spans live on the stack:
-        // the steady-state parallel path must not touch the allocator
-        // (zero-alloc rule).
-        let mut energies = [(NonbondedEnergy::default(), 0u64); NB_CHUNKS];
-        let mut spans = chunk_spans(row_pairs, ns);
+    // Per-chunk energy slots and row-count spans live on the stack: the
+    // steady-state path must not touch the allocator (zero-alloc rule).
+    let mut energies = [(NonbondedEnergy::default(), 0u64); NB_CHUNKS];
+    let mut spans = chunk_spans(row_pairs, ns);
+    let run_chunk = |c: usize, local: &mut Vec<Vec3>, rows: &mut [u32]| {
+        let lo = c * ns / NB_CHUNKS;
+        let hi = (c + 1) * ns / NB_CHUNKS;
+        // Chunk-local buffer: own rows plus this chunk's imports — O(pairs)
+        // force traffic in total, not O(chunks × atoms).
+        let len = (hi - lo) + (stream.import_start[c + 1] - stream.import_start[c]);
+        local.resize(len, Vec3::ZERO);
+        local.iter_mut().for_each(|f| *f = Vec3::ZERO);
+        stream_rows(stream, source, table, alpha, lo, hi, local, rows)
+    };
+    let bufs = &mut ws.chunks[..NB_CHUNKS];
+    if parallel {
         bufs.par_iter_mut()
             .zip(&mut energies[..])
             .zip(&mut spans[..])
             .enumerate()
-            .for_each(|(c, ((local, slot), rows))| {
-                let lo = c * ns / NB_CHUNKS;
-                let hi = (c + 1) * ns / NB_CHUNKS;
-                // Chunk-local buffer: own rows plus this chunk's imports —
-                // O(pairs) force traffic in total, not O(chunks × atoms).
-                let len = (hi - lo) + (stream.import_start[c + 1] - stream.import_start[c]);
-                local.resize(len, Vec3::ZERO);
-                local.iter_mut().for_each(|f| *f = Vec3::ZERO);
-                *slot = stream_rows(
-                    stream,
-                    source,
-                    table,
-                    alpha,
-                    lo,
-                    hi,
-                    &stream.partners_local,
-                    local,
-                    rows,
-                );
-            });
-        // Deterministic reduction: chunk order is fixed, own rows then
-        // imports; each atom receives its additions in ascending chunk
-        // order exactly as a full-length merge would. The cut counter is an
-        // integer sum, so it is bitwise thread-count independent too.
-        let mut total = NonbondedEnergy::default();
-        let mut cut = 0u64;
-        for (c, (local, (e, cc))) in bufs.iter().zip(&energies).enumerate() {
-            let lo = c * ns / NB_CHUNKS;
-            let hi = (c + 1) * ns / NB_CHUNKS;
-            let own = hi - lo;
-            for (i, l) in local[..own].iter().enumerate() {
-                forces[stream.order[lo + i] as usize] += *l;
-            }
-            let ib = stream.import_start[c];
-            for (k, l) in local[own..].iter().enumerate() {
-                let t = stream.imports[ib + k] as usize;
-                forces[stream.order[t] as usize] += *l;
-            }
-            total.lj += e.lj;
-            total.coulomb_real += e.coulomb_real;
-            total.virial += e.virial;
-            total.virial_lj += e.virial_lj;
-            cut += cc;
-        }
-        (total, cut)
+            .for_each(|(c, ((local, slot), rows))| *slot = run_chunk(c, local, rows));
     } else {
-        let local = &mut ws.chunks[0];
-        local.resize(ns, Vec3::ZERO);
-        local.iter_mut().for_each(|f| *f = Vec3::ZERO);
-        let (out, cut) = stream_rows(
-            stream,
-            source,
-            table,
-            alpha,
-            0,
-            ns,
-            &stream.partners,
-            local,
-            row_pairs,
-        );
-        for (s, l) in local.iter().enumerate() {
-            forces[stream.order[s] as usize] += *l;
+        for (c, ((local, slot), rows)) in bufs
+            .iter_mut()
+            .zip(&mut energies)
+            .zip(&mut spans)
+            .enumerate()
+        {
+            *slot = run_chunk(c, local, rows);
         }
-        (out, cut)
-    };
+    }
+    // Deterministic reduction: chunk order is fixed, own rows then imports;
+    // each atom receives its additions in ascending chunk order exactly as
+    // a full-length merge would. The cut counter is an integer sum, so it
+    // is bitwise thread-count independent too.
+    let mut total = NonbondedEnergy::default();
+    let mut cut = 0u64;
+    for (c, (local, (e, cc))) in bufs.iter().zip(&energies).enumerate() {
+        let lo = c * ns / NB_CHUNKS;
+        let hi = (c + 1) * ns / NB_CHUNKS;
+        let own = hi - lo;
+        for (i, l) in local[..own].iter().enumerate() {
+            forces[stream.order[lo + i] as usize] += *l;
+        }
+        let ib = stream.import_start[c];
+        for (k, l) in local[own..].iter().enumerate() {
+            let t = stream.imports[ib + k] as usize;
+            forces[stream.order[t] as usize] += *l;
+        }
+        total.lj += e.lj;
+        total.coulomb_real += e.coulomb_real;
+        total.virial += e.virial;
+        total.virial_lj += e.virial_lj;
+        cut += cc;
+    }
     tel.count_pairs(candidates - cut, cut);
     tel.stop(Phase::ShortRange, t0);
     if let Some(set) = shards {
@@ -1057,19 +1036,26 @@ mod tests {
         assert_close(&fr, er, &f, e);
     }
 
+    /// Serial runs the parallel path's chunks in order, so the two modes
+    /// (and repeated runs) produce the same bits.
     #[test]
-    fn streamed_parallel_is_bitwise_deterministic() {
+    fn streamed_serial_and_parallel_are_bitwise_equal() {
         let s = water_box(4, 4, 4, 5);
         let table = s.pair_table();
-        let run = || {
+        let run = |parallel: bool| {
             let mut ws = NonbondedWorkspace::new();
             let mut f = vec![Vec3::ZERO; s.n_atoms()];
-            nonbonded_forces_streamed(&s, &table, &mut ws, &mut f, true);
-            f.iter()
-                .map(|v| v.x.to_bits() ^ v.y.to_bits() ^ v.z.to_bits())
-                .fold(0u64, |a, b| a.rotate_left(1) ^ b)
+            let e = nonbonded_forces_streamed(&s, &table, &mut ws, &mut f, parallel);
+            let mut bits: Vec<u64> = f
+                .iter()
+                .flat_map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()])
+                .collect();
+            bits.extend([e.lj, e.coulomb_real, e.virial, e.virial_lj].map(f64::to_bits));
+            bits
         };
-        assert_eq!(run(), run());
+        let parallel = run(true);
+        assert_eq!(parallel, run(true));
+        assert_eq!(parallel, run(false));
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //!    attribution is bitwise reproducible in tests.
 //! 3. **Deterministic counters.** Counters are integer sums over the same
 //!    pair/grid sets on every code path, so they are bitwise identical
-//!    between the serial and fixed-chunk parallel kernels at any thread
-//!    count (asserted in `tests/telemetry_determinism.rs`).
+//!    between serial and parallel runs of the fixed-chunk kernels at any
+//!    thread count (asserted in `tests/telemetry_determinism.rs`).
 //!
 //! The per-phase taxonomy maps onto the machine model's
 //! `anton2_core::report::BreakdownUs` schema via
@@ -222,8 +222,7 @@ pub struct Counters {
     /// Grid stencil points read by GSE force interpolation.
     pub interp_points: u64,
     /// Atom-plane bins visited by the spreading scatter: one per (charged
-    /// atom, x-stencil slot) column, identical whether the serial walk or
-    /// the counting-sort binned parallel walk covered them.
+    /// atom, x-stencil slot) column of the counting-sort binned walk.
     pub gse_bins_visited: u64,
     /// Atom positions copied into shard import regions (halo reads): one
     /// per (shard, imported slot, step). 0 on single-image runs.

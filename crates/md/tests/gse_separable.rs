@@ -1,15 +1,16 @@
 //! Property tests for the separable GSE spread/interpolate path: over
 //! random charge clouds and box sizes — including boxes smaller than the
 //! stencil support (atoms wrap onto the same plane repeatedly) and atoms
-//! pinned to the periodic seam — the counting-sort binned parallel spread
-//! must be **bitwise identical** to the serial spread at any thread count,
-//! and the whole k-space pipeline (spread + FFT + lane-batched
-//! interpolation) must produce bitwise identical energies and forces on
-//! the serial and parallel paths.
+//! pinned to the periodic seam — the counting-sort binned spread must be
+//! **bitwise identical** serially (planes in order) and at any thread
+//! count, and the whole k-space pipeline (spread + FFT + lane-batched
+//! interpolation) must produce bitwise identical energies and forces in
+//! both modes.
 //!
 //! Accuracy (vs. the classic-Ewald oracle and the pre-rework fused
 //! kernels) is gated by the unit tests in `crates/md/src/gse.rs` and by
-//! `examples/gse_gate.rs`; this file gates only determinism.
+//! `examples/gse_gate.rs`; so is the binning itself, against an unbinned
+//! `(atom, dx)` walk. This file gates only determinism.
 
 use anton2_fft::Grid3;
 use anton2_md::gse::{Gse, GseParams, GseWorkspace};

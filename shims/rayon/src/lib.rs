@@ -13,9 +13,11 @@
 //! There is no work stealing, so callers that need run-to-run determinism
 //! independent of the thread count must do what they already do with real
 //! rayon: decompose into a *fixed* number of chunks and reduce in chunk
-//! order (see `stream::nonbonded_forces_streamed` in `anton2-md`). Splits
-//! here are contiguous and ordered, so `collect` always preserves item
-//! order.
+//! order. `anton2-md`'s serial mode walks the same chunks with a plain
+//! sequential iterator instead of calling into this crate, which is what
+//! makes its serial and parallel results bitwise equal (see
+//! `stream::nonbonded_forces_streamed`). Splits here are contiguous and
+//! ordered, so `collect` always preserves item order.
 
 use std::ops::Range;
 use std::sync::Arc;
